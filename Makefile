@@ -23,8 +23,8 @@ tier1-core:
 matrix:
 	python -m pytest -m matrix -q
 
-## Every demo app on both substrates (simulator + real processes, the
-## latter on both the pipe and the shared-memory transport).
+## Every demo app on the simulator and on all three real-process links
+## (pipe, shared-memory rings, sockets) — one router behind each.
 parity:
 	python -m pytest -m parity -q
 

@@ -1,191 +1,60 @@
 #!/usr/bin/env bash
-# One-command verification: API boundary guard + the Makefile gate
-# pipeline (core tests, fault-scenario matrix, backend parity,
-# benchmark smoke).
+# One-command verification: import-boundary guards, then the Makefile
+# gate pipeline (core tests, fault-scenario matrix, backend parity,
+# teardown suites, benchmark smoke, the smokes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# ----------------------------------------------------------------------
-# API boundary guard: repro.dsim.mp_backend is a deprecated internal
-# shim.  The sanctioned multiprocessing surface is the unified backend
-# (`Cluster(..., backend="mp")` / repro.dsim.backend.MPBackend), so any
-# import of the shim outside src/repro/dsim/ is an accidental boundary
-# violation.  A line may opt out with a trailing `# legacy-shim-ok`
-# marker (used only by the shim's own regression test).
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.dsim\.mp_backend|from[[:space:]]+repro\.dsim[[:space:]]+import[[:space:]].*mp_backend|import_module\([^)]*mp_backend' \
-    src tests benchmarks examples 2>/dev/null \
-    | grep -v '^src/repro/dsim/' \
-    | grep -v 'legacy-shim-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "API boundary violation: repro.dsim.mp_backend imported outside src/repro/dsim/" >&2
-    echo "Use Cluster(..., backend=\"mp\") or repro.dsim.backend.MPBackend instead:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no mp_backend imports outside dsim/"
+ALL="src tests benchmarks examples scripts"
 
-# ----------------------------------------------------------------------
-# Transport boundary guard: repro.dsim.shm_ring is the mp backend's
-# internal data plane.  The sanctioned surfaces are the transport knobs
-# (MPBackendOptions(transport=...), FixDConfig.transport,
-# Scenario.transport) — importing the ring machinery directly outside
-# src/repro/dsim/ is a boundary violation.  A line may opt out with a
-# trailing `# facade-ok: <reason>` marker, reserved for benchmarks and
-# tests that measure or property-test the ring protocol itself.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.dsim\.shm_ring|from[[:space:]]+repro\.dsim[[:space:]]+import[[:space:]][^#]*\bshm_ring\b|import_module\([^)]*shm_ring' \
-    src tests benchmarks examples 2>/dev/null \
-    | grep -v '^src/repro/dsim/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Transport boundary violation: repro.dsim.shm_ring imported outside src/repro/dsim/" >&2
-    echo "Select the transport via MPBackend(transport=...), FixDConfig.transport or Scenario.transport:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no shm_ring imports outside dsim/"
+# guard <module-regex> <owning-dir> <scanned-dirs> <hint>
+#
+# Fails when a Python file under <scanned-dirs> but outside <owning-dir>
+# imports <module-regex> — as `import a.b.m`, `from a.b.m import ...`,
+# `from a.b import m` or `import_module("...m")`.  A line may opt out
+# with a trailing `# facade-ok: <reason>` marker, reserved for tests and
+# benchmarks that measure or property-test the internal mechanism itself.
+# <hint> names the sanctioned surface to use instead.
+guard() {
+    local module=$1 owner=$2 dirs=$3 hint=$4
+    local pkg=${module%\\.*} leaf=${module##*\\.} s='[[:space:]]'
+    local pattern="(from|import)$s+$module\b|from$s+$pkg$s+import$s[^#]*\b$leaf\b|import_module\([^)]*$leaf"
+    local hits
+    # shellcheck disable=SC2086  # $dirs is a word list
+    hits=$(grep -rnE --include='*.py' "$pattern" $dirs 2>/dev/null \
+        | grep -v "^$owner/" | grep -v 'facade-ok' || true)
+    if [[ -n "$hits" ]]; then
+        echo "boundary violation: $module imported outside $owner/" >&2
+        echo "use instead: $hint" >&2
+        echo "$hits" >&2
+        exit 1
+    fi
+    echo "boundary guard: no $module imports outside $owner/ (scanned: $dirs)"
+}
 
-# ----------------------------------------------------------------------
-# Transport boundary guard: repro.dsim.net_transport is the net
-# backend's internal wire plane (socket framing, the endpoint, the
-# reassembler).  The sanctioned surfaces are the backend knobs
-# (NetBackendOptions, Cluster(..., backend="net"), FixDConfig.backend,
-# Scenario.backend) — importing the framing machinery directly outside
-# src/repro/dsim/ is a boundary violation.  A line may opt out with a
-# trailing `# facade-ok: <reason>` marker, reserved for benchmarks and
-# tests that measure or property-test the frame codec itself.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.dsim\.net_transport|from[[:space:]]+repro\.dsim[[:space:]]+import[[:space:]][^#]*\bnet_transport\b|import_module\([^)]*net_transport' \
-    src tests benchmarks examples 2>/dev/null \
-    | grep -v '^src/repro/dsim/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Transport boundary violation: repro.dsim.net_transport imported outside src/repro/dsim/" >&2
-    echo "Select the backend via Cluster(..., backend=\"net\"), NetBackendOptions, FixDConfig.backend or Scenario.backend:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no net_transport imports outside dsim/"
-
-# ----------------------------------------------------------------------
-# Facade boundary guard: examples/ and benchmarks/ express workloads
-# through the public facade (`repro.api`) — the execution substrate
-# (repro.dsim.*) and the demo-app builders (repro.apps.*) are internal.
-# Apps are addressed by registry name (repro.api.apps.build), process
-# classes come from registry exports, and the programming model
-# (Process/handler/...) is re-exported by repro.api.  A line may opt
-# out with a trailing `# facade-ok: <reason>` marker — reserved for
-# benchmarks that measure an internal mechanism itself (the scheduler
-# hot path, transport batching knobs, synthetic recovery lines).
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.(dsim|apps)\b|from[[:space:]]+repro[[:space:]]+import[^#]*\b(dsim|apps)\b' \
-    examples benchmarks 2>/dev/null \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Facade boundary violation: examples/ and benchmarks/ must import repro.api," >&2
-    echo "not repro.dsim.* or the repro.apps builders:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: examples/ and benchmarks/ import only the repro.api facade"
-
-# ----------------------------------------------------------------------
-# Durable-store boundary guard: repro.timemachine.blobstore is internal
-# plumbing of the Time Machine.  The sanctioned surfaces are the
-# timemachine package re-exports (BlobStore, DurableCheckpointStore),
-# the config knobs (FixDConfig.checkpoint_store, Scenario.checkpoint_store)
-# and Experiment.resume — importing the blobstore module directly
-# outside src/repro/timemachine/ is a boundary violation.  A line may
-# opt out with a trailing `# facade-ok: <reason>` marker, reserved for
-# tests that exercise the store's crash windows themselves.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.timemachine\.blobstore|from[[:space:]]+repro\.timemachine[[:space:]]+import[[:space:]][^#]*\bblobstore\b|import_module\([^)]*blobstore' \
-    src tests benchmarks examples 2>/dev/null \
-    | grep -v '^src/repro/timemachine/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Durable-store boundary violation: repro.timemachine.blobstore imported outside src/repro/timemachine/" >&2
-    echo "Use the repro.timemachine re-exports, the checkpoint_store config knobs, or Experiment.resume:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no blobstore imports outside timemachine/"
-
-# ----------------------------------------------------------------------
-# Scroll-persistence boundary guard: repro.timemachine.scroll_persistence
-# is Time Machine internals (segment blobs, the scroll.json sidecar, the
-# pending-event snapshot).  The sanctioned surfaces are the
-# DurableCheckpointStore methods (flush_scroll, rebuild_scroll,
-# load_scroll_sidecar), FixDConfig.scroll_flush_entries and
-# Experiment.resume / ResumedRun.continue_run — importing the module
-# directly outside src/repro/timemachine/ is a boundary violation.  A
-# line may opt out with a trailing `# facade-ok: <reason>` marker,
-# reserved for tests that exercise the sidecar's crash windows.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.timemachine\.scroll_persistence|from[[:space:]]+repro\.timemachine[[:space:]]+import[[:space:]][^#]*\bscroll_persistence\b|import_module\([^)]*scroll_persistence' \
-    src tests benchmarks examples scripts 2>/dev/null \
-    | grep -v '^src/repro/timemachine/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Scroll-persistence boundary violation: repro.timemachine.scroll_persistence imported outside src/repro/timemachine/" >&2
-    echo "Use DurableCheckpointStore.flush_scroll/rebuild_scroll, FixDConfig.scroll_flush_entries or Experiment.resume:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no scroll_persistence imports outside timemachine/"
-
-# ----------------------------------------------------------------------
-# Flush-pipeline boundary guard: repro.timemachine.flush_pipeline is the
-# durable store's background-writer internals.  The sanctioned surfaces
-# are the config knobs (FixDConfig.flush_mode / flush_queue_bytes,
-# Scenario.flush_mode / flush_queue_bytes) and the timemachine package
-# re-exports (FlushPipeline, DEFAULT_FLUSH_QUEUE_BYTES) — importing the
-# module directly outside src/repro/timemachine/ is a boundary
-# violation.  A line may opt out with a trailing `# facade-ok: <reason>`
-# marker, reserved for tests that exercise the pipeline itself.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.timemachine\.flush_pipeline|from[[:space:]]+repro\.timemachine[[:space:]]+import[[:space:]][^#]*\bflush_pipeline\b|import_module\([^)]*flush_pipeline' \
-    src tests benchmarks examples scripts 2>/dev/null \
-    | grep -v '^src/repro/timemachine/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Flush-pipeline boundary violation: repro.timemachine.flush_pipeline imported outside src/repro/timemachine/" >&2
-    echo "Use the flush_mode/flush_queue_bytes config knobs or the repro.timemachine re-exports:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no flush_pipeline imports outside timemachine/"
-
-# ----------------------------------------------------------------------
-# Fuzzing boundary guard: the submodules of repro.fuzz (generate,
-# coverage, corpus, shrink, driver) are subsystem internals.  The
-# sanctioned surfaces are the repro.fuzz package re-exports (fuzz,
-# Budget, Corpus, generate_scenario, shrink_scenario, coverage_key, ...),
-# Experiment.fuzz and the `python -m repro.fuzz` CLI — importing the
-# submodules directly outside src/repro/fuzz/ is a boundary violation.
-# A line may opt out with a trailing `# facade-ok: <reason>` marker,
-# reserved for tests that exercise an internal mechanism itself.
-# ----------------------------------------------------------------------
-violations=$(grep -rn --include='*.py' -E \
-    '(from|import)[[:space:]]+repro\.fuzz\.(generate|coverage|corpus|shrink|driver)\b|import_module\([^)]*repro\.fuzz\.' \
-    src tests benchmarks examples scripts 2>/dev/null \
-    | grep -v '^src/repro/fuzz/' \
-    | grep -v 'facade-ok' || true)
-if [[ -n "$violations" ]]; then
-    echo "Fuzzing boundary violation: repro.fuzz internals imported outside src/repro/fuzz/" >&2
-    echo "Use the repro.fuzz package re-exports, Experiment.fuzz or python -m repro.fuzz:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-echo "boundary guard: no repro.fuzz internals imported outside fuzz/"
+# dsim internals: the data planes, the shared codec and the router
+guard 'repro\.dsim\.shm_ring' src/repro/dsim "$ALL" \
+    'MPBackendOptions(transport=...), FixDConfig.transport or Scenario.transport'
+guard 'repro\.dsim\.net_transport' src/repro/dsim "$ALL" \
+    'Cluster(..., backend="net"), NetBackendOptions, FixDConfig.backend or Scenario.backend'
+guard 'repro\.dsim\.wire' src/repro/dsim "$ALL" \
+    'the transport knobs (MPBackendOptions.transport, backend="net"); the codec is not a public surface'
+guard 'repro\.dsim\.router' src/repro/dsim "$ALL" \
+    'Cluster(..., backend="mp"|"net") or repro.dsim.backend.MPBackend / net_backend.NetBackend'
+# Time Machine internals: blob store, scroll sidecar, background writer
+guard 'repro\.timemachine\.blobstore' src/repro/timemachine "$ALL" \
+    'the repro.timemachine re-exports, the checkpoint_store knobs or Experiment.resume'
+guard 'repro\.timemachine\.scroll_persistence' src/repro/timemachine "$ALL" \
+    'DurableCheckpointStore.flush_scroll/rebuild_scroll, FixDConfig.scroll_flush_entries or Experiment.resume'
+guard 'repro\.timemachine\.flush_pipeline' src/repro/timemachine "$ALL" \
+    'the flush_mode/flush_queue_bytes knobs or the repro.timemachine re-exports'
+# fuzzing internals: only the package re-exports, Experiment.fuzz and the CLI are public
+guard 'repro\.fuzz\.(generate|coverage|corpus|shrink|driver)' src/repro/fuzz "$ALL" \
+    'the repro.fuzz package re-exports, Experiment.fuzz or python -m repro.fuzz'
+# examples/ and benchmarks/ express workloads through the repro.api
+# facade: apps by registry name, the programming model via re-exports
+guard 'repro\.(dsim|apps)' src "examples benchmarks" \
+    'repro.api (apps.build, Process/handler re-exports, Scenario/Experiment)'
 
 if ! command -v make >/dev/null 2>&1; then
     echo "scripts/check.sh requires make; run the Makefile 'verify' steps manually:" >&2

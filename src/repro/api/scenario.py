@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.faults import FaultSchedule
+from repro.dsim.backend import check_transport
 from repro.errors import ScenarioError
 
 BACKENDS = ("sim", "mp", "net")
-TRANSPORTS = ("pipe", "shm")
 CHECKPOINT_STORES = ("memory", "disk")
 FLUSH_MODES = ("sync", "pipelined")
 
@@ -122,15 +122,7 @@ class Scenario:
             )
         if not isinstance(self.faults, FaultSchedule):
             raise ScenarioError("scenario faults must be a FaultSchedule")
-        if self.transport not in TRANSPORTS:
-            raise ScenarioError(
-                f"unknown transport {self.transport!r}; expected one of {TRANSPORTS}"
-            )
-        if self.backend != "mp" and self.transport != "pipe":
-            raise ScenarioError(
-                f"scenario transport {self.transport!r} is an mp-backend knob; "
-                "the simulator has no transport and the net backend is always sockets"
-            )
+        check_transport(self.backend, self.transport, ScenarioError)
         if self.checkpoint_store not in CHECKPOINT_STORES:
             raise ScenarioError(
                 f"unknown checkpoint_store {self.checkpoint_store!r}; "

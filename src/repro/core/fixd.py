@@ -65,7 +65,8 @@ class FixDConfig:
     backend: str = "sim"
     #: data plane of the ``mp`` backend: ``"pipe"`` (batched pickled
     #: pipe writes) or ``"shm"`` (shared-memory rings; the hot path
-    #: never touches pickle).  Ignored on the simulator.
+    #: never touches pickle).  Must stay ``"pipe"`` on ``sim`` and ``net``
+    #: (:meth:`FixD.make_cluster` rejects anything else, as ``Scenario`` does).
     transport: str = "pipe"
     checkpoint_policy: CheckpointPolicy = CheckpointPolicy.COMMUNICATION_INDUCED
     periodic_checkpoint_interval: int = 10
@@ -259,12 +260,12 @@ class FixD:
         yields a real-process cluster with recording and detection wired
         up; the default yields the fully recoverable simulator.
         """
+        from repro.dsim.backend import MPBackend, check_transport
         from repro.dsim.cluster import Cluster
 
         backend = self.config.backend
-        if backend == "mp" and self.config.transport != "pipe":
-            from repro.dsim.backend import MPBackend
-
+        check_transport(backend, self.config.transport)
+        if backend == "mp":
             backend = MPBackend(transport=self.config.transport)
         cluster = Cluster(cluster_config, backend=backend)
         self.attach(cluster)

@@ -19,11 +19,16 @@ provides the equivalent substrate in pure Python:
 * :mod:`repro.dsim.backend` — the :class:`~repro.dsim.backend.Backend`
   protocol with three substrates: the deterministic simulator
   (:class:`~repro.dsim.backend.SimBackend`, the default), real OS
-  processes (:class:`~repro.dsim.backend.MPBackend`) over a pluggable
-  transport — batched pipe writes or zero-pickle shared-memory rings
-  (:mod:`repro.dsim.shm_ring`) — and real OS processes over sharded
-  asyncio socket routers (:class:`~repro.dsim.net_backend.NetBackend`,
-  framing in :mod:`repro.dsim.net_transport`).
+  processes over batched pipe writes or zero-pickle shared-memory rings
+  (:class:`~repro.dsim.backend.MPBackend`), and real OS processes over
+  sharded asyncio socket routers
+  (:class:`~repro.dsim.net_backend.NetBackend`).
+* :mod:`repro.dsim.router` — the one parent-side router and the worker
+  loop every real-process backend runs; a backend only supplies the
+  *link set* that moves items (pipe/shm links in ``backend``, socket
+  links in ``net_backend``).  :mod:`repro.dsim.wire` is the flat-frame
+  codec the links share; :mod:`repro.dsim.shm_ring` and
+  :mod:`repro.dsim.net_transport` are the ring and stream transports.
 
 The FixD components attach to the simulator exclusively through the hook
 interfaces in :mod:`repro.dsim.hooks`, which keeps this substrate free of

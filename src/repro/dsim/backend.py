@@ -14,24 +14,25 @@ actually *executes* lives behind the :class:`Backend` protocol:
   substrate the Time Machine and the Investigator require.
 
 * :class:`MPBackend` — the same :class:`~repro.dsim.process.Process`
-  subclasses on real OS processes, over a pluggable **transport**: a
-  worker accumulates outgoing messages up to a *flush watermark* and
-  ships them as one frame; the parent groups each routing tick's
-  deliveries per destination and writes one batch per worker.  With
-  ``transport="pipe"`` every frame is a pickled pipe write; with
+  subclasses on real OS processes, over a pluggable **transport**:
+  with ``transport="pipe"`` every frame is a pickled pipe write; with
   ``transport="shm"`` frames travel through per-worker shared-memory
   rings with a marshal fast path that keeps the hot path out of
-  ``pickle`` entirely (see :mod:`repro.dsim.shm_ring`).  Either way,
-  batches preserve per-sender FIFO order and every message carries its
-  sender's vector timestamp, so recording hooks observe the same causal
-  surface as on the simulator.  Fault plans map directly:
-  crashes/recoveries become control messages, message faults and
-  partitions are applied by the parent router, state corruptions fire
-  inside the worker.
+  ``pickle`` entirely (see :mod:`repro.dsim.shm_ring`).
 
 * :class:`~repro.dsim.net_backend.NetBackend` (own module) — the same
-  worker loop over asyncio sockets to a consistent-hash-sharded router;
-  the first substrate whose wire protocol could leave the box.
+  workers over asyncio sockets to consistent-hash-sharded routers; the
+  first substrate whose wire protocol could leave the box.
+
+Both real-process backends are one :class:`~repro.dsim.router.Router`
+(:class:`RoutedBackend`) behind different *link sets*: this module
+holds the pipe/shm links, ``net_backend`` the shard-socket links.  On
+every link, batches preserve per-sender FIFO order and every message
+carries its sender's vector timestamp, so recording hooks observe the
+same causal surface as on the simulator.  Fault plans map directly:
+crashes/recoveries become control messages, message faults and
+partitions are applied by the router, state corruptions fire inside
+the worker.
 
 Capability flags tell the FixD layers what a backend can do, so e.g.
 checkpoint/rollback machinery attaches only where it is meaningful.
@@ -39,11 +40,9 @@ checkpoint/rollback machinery attaches only where it is meaningful.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import pickle
 import queue as queue_module
-import sys
 import threading
 import time as wall_time
 from dataclasses import dataclass, replace as dataclass_replace
@@ -57,11 +56,29 @@ from repro.dsim.message import Message
 from repro.dsim.network import Network
 from repro.dsim.process import ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed
+from repro.dsim.router import Router, RouterOptions, reap_workers, worker_loop
 from repro.dsim.scheduler import Event, EventKind, Scheduler
-from repro.errors import InvariantViolation, SimulationError, UnknownProcessError
+from repro.dsim.wire import PICKLE_PROTO, TransportError, new_stats
+from repro.errors import SimulationError
 
 #: Transports the multiprocessing backend can run on.
 TRANSPORTS = ("pipe", "shm")
+
+
+def check_transport(backend: str, transport: str, error=SimulationError) -> None:
+    """Reject a ``transport`` the named backend cannot honour.
+
+    The one copy of the rule ``Scenario`` and ``FixDConfig`` both apply;
+    raises ``error``.
+    """
+    if transport not in TRANSPORTS:
+        raise error(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
+    if backend != "mp" and transport != "pipe":
+        raise error(
+            f"transport {transport!r} is an mp-backend knob; "
+            "the simulator has no transport and the net backend is always sockets"
+        )
+
 
 #: Capability names backends may advertise.
 CAP_DETERMINISTIC = "deterministic"    # a run is a pure function of (programs, seed, plan)
@@ -457,483 +474,14 @@ class SimBackend(Backend):
 
 
 # ----------------------------------------------------------------------
-# the multiprocessing backend: real OS processes, batched pipe transport
+# real OS processes: what every routed backend shares
 # ----------------------------------------------------------------------
-@dataclass
-class MPBackendOptions:
-    """Tuning knobs of the multiprocessing substrate.
+class RoutedBackend(Backend):
+    """A backend whose run is one :class:`~repro.dsim.router.Router` over a link set.
 
-    Attributes
-    ----------
-    time_scale:
-        Wall-clock seconds per simulated time unit.  Application timers
-        and fault-plan times are expressed in simulated units on both
-        backends; the workers convert them with this factor, so a plan
-        written for the simulator injects at the equivalent wall moment.
-    flush_watermark:
-        A worker flushes its outgoing batch once it holds this many
-        messages (it also flushes whenever it goes idle, so the
-        watermark bounds batch size, not latency).  ``1`` degenerates to
-        one pipe write per message — the pre-batching behaviour, kept
-        reachable for the batching benchmark's baseline.
-    batch_deliveries:
-        When true (default) the parent groups one routing tick's
-        deliveries per destination worker and writes one batch per
-        worker; when false it writes one message per pipe write.
-    max_batch_messages:
-        Upper bound on messages per parent batch write; very large
-        bursts are split so a single pipe write stays well under the OS
-        pipe buffer (both sides always drain eagerly, this is the
-        belt-and-braces bound).
-    max_wall_seconds:
-        Hard wall-clock cap on a run, protecting the test suite from a
-        quiescence-detection bug or a livelocked application.
-    transport:
-        ``"pipe"`` (default) ships every batch as one pickled pipe
-        write; ``"shm"`` moves data frames through per-worker
-        shared-memory SPSC rings (:mod:`repro.dsim.shm_ring`) with a
-        struct fast path that keeps common payloads out of ``pickle``
-        entirely — the pipe is then reserved for control traffic and
-        oversize frames.  Both transports preserve per-sender FIFO
-        order, vector timestamps, the ordered single-log flush
-        protocol, and probe-based quiescence.
-    ring_bytes:
-        Per-direction ring capacity of the shm transport.  Frames
-        larger than a quarter of this spill to the pipe (behind an
-        in-ring ordering marker).
-    ring_write_timeout:
-        How long a full ring blocks a writer (backpressure) before the
-        frame is treated as undeliverable.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` on Linux
-        (cheap worker startup, no pickling of factories) and ``spawn``
-        everywhere else — including macOS, where CPython deliberately
-        stopped defaulting to fork (unsafe under ObjC/CoreFoundation).
-        Under ``spawn``, configure processes via
-        picklable factories that set *instance* attributes
-        (:class:`repro.dsim.process.ConfiguredFactory`, which the demo
-        app builders use) — mutating class attributes in the parent does
-        not cross the spawn boundary.
-    """
-
-    time_scale: float = 0.02
-    flush_watermark: int = 64
-    batch_deliveries: bool = True
-    max_batch_messages: int = 128
-    max_wall_seconds: float = 30.0
-    transport: str = "pipe"
-    ring_bytes: int = shm_ring.DEFAULT_RING_BYTES
-    ring_write_timeout: float = 10.0
-    start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method:
-            return self.start_method
-        if sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods():
-            return "fork"
-        return "spawn"
-
-
-def _mp_worker_main(
-    pid: str,
-    factory,
-    all_pids: Tuple[str, ...],
-    seed: int,
-    conn,
-    options: MPBackendOptions,
-    check_invariants: bool,
-    wall_limit: float,
-    corruptions: List[Tuple[float, bytes]],
-    msg_id_base: int,
-    ring_handle=None,
-) -> None:
-    """Entry point of one worker process.
-
-    The worker owns its :class:`Process` instance, services timers with
-    wall-clock granularity, and talks to the parent router through a
-    transport endpoint: the duplex pipe alone (``transport="pipe"``) or
-    a shared-memory ring pair with the pipe demoted to control traffic
-    (``transport="shm"``).  Outgoing messages, delivery receipts, timer
-    firings and detected violations accumulate in a *flush buffer*
-    shipped as one transport frame — per-sender FIFO order is preserved
-    because the buffer is drained in append order.
-    """
-    from repro.dsim.message import reset_message_ids
-
-    # each worker owns a disjoint msg_id range so ids stay cluster-unique
-    # (the counter is interpreter-global; fork would otherwise clone it)
-    reset_message_ids(msg_id_base)
-    if ring_handle is None:
-        endpoint = shm_ring.PipeEndpoint(conn)
-    else:
-        down_ring, up_ring, close_segments = ring_handle.attach()
-        endpoint = shm_ring.ShmEndpoint(
-            conn,
-            send_ring=up_ring,
-            recv_ring=down_ring,
-            close_segments=close_segments,
-            write_timeout=options.ring_write_timeout,
-        )
-    try:
-        _mp_worker_loop(
-            pid,
-            factory,
-            all_pids,
-            seed,
-            endpoint,
-            options,
-            check_invariants,
-            wall_limit,
-            corruptions,
-        )
-    finally:
-        # drops the worker's segment mappings on every exit path;
-        # the parent (segment owner) is the only side that unlinks
-        endpoint.close()
-
-
-def _mp_worker_loop(
-    pid: str,
-    factory,
-    all_pids: Tuple[str, ...],
-    seed: int,
-    endpoint,
-    options: MPBackendOptions,
-    check_invariants: bool,
-    wall_limit: float,
-    corruptions: List[Tuple[float, bytes]],
-) -> None:
-    start = wall_time.monotonic()
-    scale = options.time_scale
-    watermark = max(1, options.flush_watermark)
-
-    def sim_now() -> float:
-        return (wall_time.monotonic() - start) / scale
-
-    process = factory()
-    timers: List[Tuple[float, int, str, Any]] = []
-    timer_seq = 0
-    crashed = False
-    timer_fires = 0
-    rng_draws = 0
-    clock_reads = 0
-    shipped_rng = 0
-    shipped_clock = 0
-
-    # flush buffer: ONE tagged log in occurrence order, so the router
-    # replays sends, receipts, timer firings, violations and fault
-    # events exactly as they interleaved inside the worker — hooks see
-    # the same causal surface a simulator run would record.
-    flush_log: List[Tuple] = []
-    # sends, delivery receipts and violations all count toward the
-    # watermark (bookkeeping entries don't): a receive-heavy worker under
-    # sustained traffic still flushes regularly, bounding both its buffer
-    # and the router's in-flight map, and violations ship promptly.
-    pending_units = 0
-
-    def flush() -> None:
-        nonlocal flush_log, pending_units, shipped_rng, shipped_clock
-        # recording depth: rng-draw / clock-read counters ride in the
-        # flush payload as deltas, so both transports expose the same
-        # observability surface without a side channel
-        if rng_draws > shipped_rng or clock_reads > shipped_clock:
-            flush_log.append(
-                ("counters", rng_draws - shipped_rng, clock_reads - shipped_clock)
-            )
-            shipped_rng = rng_draws
-            shipped_clock = clock_reads
-        if not flush_log:
-            return
-        endpoint.send(("flush", pid, flush_log))
-        flush_log = []
-        pending_units = 0
-
-    def note_unit() -> None:
-        nonlocal pending_units
-        pending_units += 1
-        if pending_units >= watermark:
-            flush()
-
-    def send_fn(message: Message) -> None:
-        flush_log.append(("sent", message))
-        note_unit()
-
-    def timer_fn(name: str, delay: float, payload: Any) -> None:
-        nonlocal timer_seq
-        timer_seq += 1
-        heapq.heappush(timers, (wall_time.monotonic() + delay * scale, timer_seq, name, payload))
-
-    def cancel_timer_fn(name: str) -> None:
-        nonlocal timers
-        timers = [entry for entry in timers if entry[2] != name]
-        heapq.heapify(timers)
-
-    def record_random(*_args) -> None:
-        nonlocal rng_draws
-        rng_draws += 1
-
-    def record_clock(*_args) -> None:
-        nonlocal clock_reads
-        clock_reads += 1
-
-    ctx = ProcessContext(
-        pid=pid,
-        peers=all_pids,
-        send_fn=send_fn,
-        timer_fn=timer_fn,
-        cancel_timer_fn=cancel_timer_fn,
-        now_fn=sim_now,
-        rng=DeterministicRNG(derive_seed(seed, "process", pid)),
-        record_random_fn=record_random,
-        record_clock_fn=record_clock,
-    )
-
-    def after_handler() -> None:
-        if not check_invariants or crashed:
-            return
-        try:
-            process.check_invariants()
-        except InvariantViolation as violation:
-            flush_log.append(
-                (
-                    "violation",
-                    violation.name,
-                    violation.detail,
-                    sim_now(),
-                    process.vector_timestamp,
-                )
-            )
-            note_unit()
-
-    corruption_schedule = sorted(
-        (at * scale + 0.0, blob) for at, blob in corruptions
-    )
-    corruption_index = 0
-
-    error: Optional[str] = None
-    stopping = False
-    try:
-        process.bind(ctx)
-        process.on_start()
-        flush_log.append(("handled", "on_start", sim_now()))
-        after_handler()
-
-        deadline = start + wall_limit
-        while not stopping and wall_time.monotonic() < deadline:
-            now_w = wall_time.monotonic()
-            # injected state corruptions due at this wall moment
-            while (
-                corruption_index < len(corruption_schedule)
-                and corruption_schedule[corruption_index][0] <= now_w - start
-            ):
-                _, blob = corruption_schedule[corruption_index]
-                corruption_index += 1
-                if not crashed:
-                    fault: StateCorruptionFault = pickle.loads(blob)
-                    fault.mutator(process.state)
-                    flush_log.append(
-                        ("event", "corrupt", fault.description, sim_now(), process.vector_timestamp)
-                    )
-                    flush_log.append(("handled", "corruption", sim_now()))
-                    after_handler()
-            # fire due timers
-            while timers and timers[0][0] <= wall_time.monotonic() and not crashed:
-                _, _, name, payload = heapq.heappop(timers)
-                flush_log.append(("timer", name, sim_now(), process.vector_timestamp))
-                process.fire_timer(name, payload)
-                timer_fires += 1
-                flush_log.append(("handled", f"timer {name}", sim_now()))
-                after_handler()
-            # wait for parent traffic until the next timer (or a short idle poll)
-            timeout = 0.002
-            if timers:
-                timeout = min(timeout, max(0.0, timers[0][0] - wall_time.monotonic()))
-            if corruption_index < len(corruption_schedule):
-                due = corruption_schedule[corruption_index][0] - (wall_time.monotonic() - start)
-                timeout = min(timeout, max(0.0, due))
-            if not endpoint.poll(timeout):
-                flush()  # idle: everything buffered goes out now
-                continue
-            for item in endpoint.drain():
-                tag = item[0]
-                if tag == "batch":
-                    for tseq, message in item[1]:
-                        if crashed:
-                            flush_log.append(("dead", tseq))
-                            continue
-                        flush_log.append(("brecv", tseq, sim_now()))
-                        process.deliver(message)
-                        flush_log.append(("recv", tseq, sim_now(), process.vector_timestamp))
-                        flush_log.append(("handled", f"deliver {message.kind}", sim_now()))
-                        note_unit()
-                        after_handler()
-                elif tag == "crash":
-                    if not crashed:
-                        process.mark_crashed()
-                        crashed = True
-                        timers.clear()
-                        flush_log.append(("event", "crash", "", sim_now(), process.vector_timestamp))
-                        flush()
-                elif tag == "recover":
-                    if crashed:
-                        process.mark_recovered()
-                        crashed = False
-                        flush_log.append(("event", "recover", "", sim_now(), process.vector_timestamp))
-                        flush_log.append(("handled", "on_recover", sim_now()))
-                        after_handler()
-                        flush()
-                elif tag == "probe":
-                    flush()
-                    endpoint.send_control(
-                        (
-                            "probe_ack",
-                            pid,
-                            item[1],
-                            {
-                                "sent_total": process.messages_sent,
-                                "timers_armed": 0 if crashed else len(timers),
-                                # scheduled-but-unfired corruptions count as
-                                # armed work: the router must not quiesce past
-                                # them (exact, clock-skew-free accounting)
-                                "corruptions_pending": len(corruption_schedule) - corruption_index,
-                                "crashed": crashed,
-                            },
-                        )
-                    )
-                elif tag == "stop":
-                    stopping = True
-                    break
-    except EOFError:  # parent went away: nothing left to report to
-        return
-    except shm_ring.TransportError:  # parent stopped draining: same thing
-        return
-    except Exception as exc:  # noqa: BLE001 - shipped to the parent verbatim
-        error = f"{type(exc).__name__}: {exc}"
-
-    try:
-        try:
-            if not crashed and error is None:
-                process.on_stop()
-        except Exception as exc:  # noqa: BLE001 - must not lose the final state
-            error = f"on_stop: {type(exc).__name__}: {exc}"
-        flush()
-        endpoint.send_control(
-            (
-                "result",
-                pid,
-                {
-                    "state": dict(process.state),
-                    "sent": process.messages_sent,
-                    "received": process.messages_received,
-                    "recorded": rng_draws + clock_reads,
-                    "rng_draws": rng_draws,
-                    "clock_reads": clock_reads,
-                    "timer_fires": timer_fires,
-                    "uplink_writes": endpoint.stats["sends"] + 1,  # counting this result write
-                    "transport": dict(endpoint.stats),
-                    "error": error,
-                },
-            )
-        )
-    except (
-        EOFError,
-        BrokenPipeError,
-        OSError,
-        shm_ring.TransportError,
-    ):  # pragma: no cover - parent gone
-        pass
-
-
-class _ShmLink:
-    """Parent-side handle on the shm transport: threadless, direct writes.
-
-    The router thread writes data frames straight into the worker's
-    down ring — non-blocking in the common case, so a batch costs no
-    thread hop, no queue wakeup and no pipe syscall.  During ring
-    backpressure the endpoint's wait hook *drains the uplinks* (the
-    router is their only consumer), which preserves the no-deadlock
-    argument the pipe transport gets from its sender threads: the
-    router is never stuck in a write it cannot unblock itself.  The
-    pipe carries only tiny bounded control items and coalesced nudges,
-    so its direct blocking writes cannot fill the pipe buffer within a
-    run's wall cap.
-    """
-
-    def __init__(self, endpoint, drain_hook, on_stalled=None) -> None:
-        self.endpoint = endpoint
-        self.writes = 0
-        endpoint.wait_hook = drain_hook
-        self._on_stalled = on_stalled
-
-    def send(self, item) -> None:
-        try:
-            self.endpoint.send(item)
-            self.writes += 1
-        except shm_ring.RingBackpressureTimeout:
-            # The worker is ALIVE but has not drained its ring for the
-            # whole write timeout — dropping the frame silently would
-            # strand its tseqs in in_flight until the wall cap.  Surface
-            # the stall loudly instead (unless we are tearing down), and
-            # flip the endpoint to closing so the remaining queued
-            # batches for this destination abort immediately rather
-            # than each paying the full timeout before halt is noticed.
-            if not self.endpoint.closing and self._on_stalled is not None:
-                self.endpoint.closing = True
-                self._on_stalled()
-        except (EOFError, BrokenPipeError, OSError, ValueError, shm_ring.TransportError):
-            pass  # worker gone: the router loop detects the dead pipe
-
-    def close(self, timeout: float = 2.0) -> None:
-        self.endpoint.closing = True  # unblocks a backpressured ring write
-
-
-class _WorkerLink:
-    """Parent-side handle for one worker: its endpoint plus a sender thread.
-
-    All router→worker writes go through a queue drained by a dedicated
-    thread, so the router's main loop *never blocks on a transport
-    write*.  This is what makes the transport deadlock-free under
-    arbitrary payload sizes: a worker blocked mid-flush (its uplink
-    full) is always eventually drained by the router loop, because the
-    router is never itself stuck in ``send`` — at worst its sender
-    thread is, and that thread unblocks as soon as the worker finishes
-    flushing.  A worker that died simply absorbs the remaining queue
-    (broken-pipe writes and timed-out ring writes are dropped, not
-    raised into ``run()``); ``close`` flips the endpoint's ``closing``
-    flag so even a backpressured ring write gives up promptly.
-    """
-
-    def __init__(self, endpoint) -> None:
-        self.endpoint = endpoint
-        self.writes = 0
-        self._queue: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
-        self._thread = threading.Thread(target=self._pump, daemon=True)
-        self._thread.start()
-
-    _CLOSE = object()
-
-    def _pump(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._CLOSE:
-                return
-            try:
-                self.endpoint.send(item)
-                self.writes += 1
-            except (BrokenPipeError, OSError, ValueError, shm_ring.TransportError):
-                continue  # worker gone: keep draining so close() terminates
-
-    def send(self, item) -> None:
-        self._queue.put(item)
-
-    def close(self, timeout: float = 2.0) -> None:
-        self.endpoint.closing = True  # unblocks a backpressured ring write
-        self._queue.put(self._CLOSE)
-        self._thread.join(timeout=timeout)
-
-
-class MPBackend(Backend):
-    """Real OS processes behind the cluster API, with a batched transport.
+    Subclasses build their link set in ``run()`` and hand it to
+    :meth:`_run_router`; routing, fault injection, quiescence and result
+    assembly are the router's, identical on every link.
 
     Limitations (documented, deliberate):
 
@@ -952,26 +500,411 @@ class MPBackend(Backend):
       window after the violation — final states reflect state at the
       (slightly later) halt, not at the violating handler as on the
       simulator.
+    """
 
-    The run ends at *quiescence*, detected with a probe protocol: when
-    the router has nothing queued, delayed or in flight and no fault
-    events still scheduled, it probes every worker; a worker answers
-    after draining its inbox (the pipe is FIFO) with its armed-timer and
-    sent-message counters.  The system is quiescent when all answers
-    agree with the router's own accounting and nothing new arrived
-    during the round.
+    capabilities = frozenset({CAP_REAL_PROCESSES})
+
+    def __init__(self, options: RouterOptions) -> None:
+        super().__init__()
+        self.options = options
+        self._router: Optional[Router] = None
+        #: transport accounting of the last run (the batching benchmarks' metric)
+        self.transport_stats: Dict[str, int] = {}
+        #: per-worker counters of the last run (sent/received/recorded/...)
+        self.worker_stats: Dict[str, Dict[str, Any]] = {}
+
+    @property
+    def now(self) -> float:
+        return self._router.now if self._router is not None else 0.0
+
+    @property
+    def fault_engine(self) -> Optional[MessageFaultEngine]:
+        return self._router.fault_engine if self._router is not None else None
+
+    def start(self) -> None:
+        """No-op: links and workers are started inside :meth:`run`."""
+
+    def _run_router(self, links, until, max_events):
+        self._router = router = Router(self.cluster, self.options, links)
+        result = router.run(until, max_events)
+        self.transport_stats = router.transport_stats
+        self.worker_stats = router.results
+        return result
+
+
+# ----------------------------------------------------------------------
+# the multiprocessing backend: pipe and shared-memory links
+# ----------------------------------------------------------------------
+@dataclass
+class MPBackendOptions(RouterOptions):
+    """Tuning knobs of the multiprocessing substrate.
+
+    The shared knobs (``time_scale``, ``flush_watermark``,
+    ``batch_deliveries``, ``max_batch_messages``, ``max_wall_seconds``)
+    are documented on :class:`~repro.dsim.router.RouterOptions`.
+
+    Attributes
+    ----------
+    transport:
+        ``"pipe"`` (default) ships every batch as one pickled pipe
+        write; ``"shm"`` moves data frames through per-worker
+        shared-memory SPSC rings (:mod:`repro.dsim.shm_ring`) with a
+        struct fast path that keeps common payloads out of ``pickle``
+        entirely — the pipe is then reserved for control traffic and
+        oversize frames.  Both transports preserve per-sender FIFO
+        order, vector timestamps, the ordered single-log flush
+        protocol, and probe-based quiescence.
+    ring_bytes:
+        Per-direction ring capacity of the shm transport.  Frames
+        larger than a quarter of this spill to the pipe (behind an
+        in-ring ordering marker).
+    ring_write_timeout:
+        How long a full ring blocks a writer (backpressure) before the
+        frame is treated as undeliverable.
+    start_method:
+        ``multiprocessing`` start method; ``None`` picks ``fork`` on
+        Linux and ``spawn`` elsewhere (see
+        :meth:`~repro.dsim.router.RouterOptions.resolved_start_method`).
+    """
+
+    transport: str = "pipe"
+    ring_bytes: int = shm_ring.DEFAULT_RING_BYTES
+    ring_write_timeout: float = 10.0
+    start_method: Optional[str] = None
+
+
+class PipeEndpoint:
+    """The batched pipe transport behind the common endpoint interface.
+
+    One pickled pipe write per item, pickling explicitly via
+    ``send_bytes`` so every link accounts ``pickled_bytes`` the same way.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.stats = new_stats()
+
+    # -- send --------------------------------------------------------------
+    def send(self, item: Tuple) -> None:
+        blob = pickle.dumps(item, PICKLE_PROTO)
+        stats = self.stats
+        stats["sends"] += 1
+        stats["pipe_items"] += 1
+        stats["pickled_bytes"] += len(blob)
+        if item[0] == "batch":
+            stats["messages_pickled"] += len(item[1])
+        elif item[0] == "flush":
+            stats["messages_pickled"] += sum(1 for e in item[2] if e[0] == "sent")
+        self.conn.send_bytes(blob)
+
+    send_control = send
+
+    # -- receive -----------------------------------------------------------
+    def data_ready(self) -> bool:
+        return False  # everything arrives via the pipe: mp_wait covers it
+
+    def poll(self, timeout: float) -> bool:
+        return self.conn.poll(timeout)
+
+    def drain(self) -> List[Tuple]:
+        items: List[Tuple] = []
+        while self.conn.poll(0):
+            try:
+                items.append(pickle.loads(self.conn.recv_bytes()))
+            except EOFError:
+                # deliver everything read before the EOF (a worker's last
+                # result arrives exactly this way: send, close, exit) —
+                # the next drain() call raises the EOF with nothing lost
+                if items:
+                    return items
+                raise
+        return items
+
+    def drain_data(self) -> List[Tuple]:
+        """Salvageable data after a peer death: nothing outlives a pipe."""
+        return []
+
+    def close(self) -> None:
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+def _mp_worker_main(conn, ring_handle, options: MPBackendOptions, worker_args: Tuple) -> None:
+    """Entry point of one mp worker: build the endpoint, run the worker loop.
+
+    The endpoint is the duplex pipe alone (``transport="pipe"``) or a
+    shared-memory ring pair with the pipe demoted to control traffic
+    (``transport="shm"``).
+    """
+    if ring_handle is None:
+        endpoint = PipeEndpoint(conn)
+    else:
+        down_ring, up_ring, close_segments = ring_handle.attach()
+        endpoint = shm_ring.ShmEndpoint(
+            conn,
+            send_ring=up_ring,
+            recv_ring=down_ring,
+            close_segments=close_segments,
+            write_timeout=options.ring_write_timeout,
+        )
+    try:
+        worker_loop(endpoint, options, *worker_args)
+    finally:
+        # drops the worker's segment mappings on every exit path;
+        # the parent (segment owner) is the only side that unlinks
+        endpoint.close()
+
+
+class _ShmLink:
+    """Parent-side handle on one shm worker: threadless, direct writes.
+
+    The router thread writes data frames straight into the worker's
+    down ring — non-blocking in the common case, so a batch costs no
+    thread hop, no queue wakeup and no pipe syscall.  During ring
+    backpressure the endpoint's wait hook *drains the uplinks* (the
+    router is their only consumer), which preserves the no-deadlock
+    argument the pipe transport gets from its sender threads: the
+    router is never stuck in a write it cannot unblock itself.  The
+    pipe carries only tiny bounded control items and coalesced nudges,
+    so its direct blocking writes cannot fill the pipe buffer within a
+    run's wall cap.
+    """
+
+    def __init__(self, endpoint, drain_hook, report_stalled) -> None:
+        self.endpoint = endpoint
+        self.writes = 0
+        endpoint.wait_hook = drain_hook
+        self._report_stalled = report_stalled
+
+    def send(self, item) -> None:
+        try:
+            self.endpoint.send(item)
+            self.writes += 1
+        except shm_ring.RingBackpressureTimeout:
+            # The worker is ALIVE but has not drained its ring for the
+            # whole write timeout — dropping the frame silently would
+            # strand its tseqs in in_flight until the wall cap.  Surface
+            # the stall loudly instead (unless we are tearing down), and
+            # flip the endpoint to closing so the remaining queued
+            # batches for this destination abort immediately rather
+            # than each paying the full timeout before halt is noticed.
+            if not self.endpoint.closing:
+                self.endpoint.closing = True
+                self._report_stalled()
+        except (EOFError, BrokenPipeError, OSError, ValueError, TransportError):
+            pass  # worker gone: the next drain reports the dead pipe
+
+    def close(self) -> None:
+        self.endpoint.closing = True  # unblocks a backpressured ring write
+
+
+class _PipeLink:
+    """Parent-side handle on one pipe worker: its endpoint plus a sender thread.
+
+    All router→worker writes go through a queue drained by a dedicated
+    thread, so the router's main loop *never blocks on a transport
+    write*.  This is what makes the transport deadlock-free under
+    arbitrary payload sizes: a worker blocked mid-flush (its uplink
+    full) is always eventually drained by the router loop, because the
+    router is never itself stuck in ``send`` — at worst its sender
+    thread is, and that thread unblocks as soon as the worker finishes
+    flushing.  A worker that died simply absorbs the remaining queue
+    (broken-pipe writes are dropped, not raised into ``run()``).
+    """
+
+    _CLOSE = object()
+
+    def __init__(self, endpoint) -> None:
+        self.endpoint = endpoint
+        self.writes = 0
+        self._queue: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
+        self._thread = threading.Thread(target=self._pump, daemon=True)
+        self._thread.start()
+
+    def _pump(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is self._CLOSE:
+                return
+            try:
+                self.endpoint.send(item)
+                self.writes += 1
+            except (BrokenPipeError, OSError, ValueError):
+                continue  # worker gone: keep draining so close() terminates
+
+    def send(self, item) -> None:
+        self._queue.put(item)
+
+    def close(self) -> None:
+        self._queue.put(self._CLOSE)
+        self._thread.join(timeout=2.0)
+
+
+class _WorkerLinks:
+    """The mp link set: one duplex pipe (plus a ring pair on shm) per worker.
+
+    Implements the five operations :mod:`repro.dsim.router` documents.
+    Everything the parent owns for a run — endpoints, sender threads,
+    worker processes, shared-memory segments — is registered here as it
+    is created, so :meth:`close` reclaims all of it on every exit path,
+    including a failure half-way through :meth:`open`.
+    """
+
+    def __init__(self, options: MPBackendOptions) -> None:
+        self.options = options
+        #: shared-memory segment names created for this run
+        self.segment_names: List[str] = []
+        self._endpoints: Dict[str, Any] = {}  # every endpoint, incl. dead peers'
+        self._live: Dict[str, Any] = {}       # endpoints still worth waiting on
+        self._conn_to_pid: Dict[Any, str] = {}
+        self._ring_pairs: List[shm_ring.RingPair] = []
+        self._links: Dict[str, Any] = {}
+        self._workers: List[Any] = []
+        self._deliver = None
+
+    def open(self, spawn, deliver) -> None:
+        self._deliver = deliver
+        options = self.options
+        use_shm = options.transport == "shm"
+        ctx = mp.get_context(options.resolved_start_method())
+        for pid, worker_args in spawn.items():
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            ring_handle = None
+            if use_shm:
+                pair = shm_ring.RingPair(options.ring_bytes)
+                self._ring_pairs.append(pair)
+                self.segment_names.extend(pair.segment_names)
+                ring_handle = pair.child_handle()
+            worker = ctx.Process(
+                target=_mp_worker_main,
+                args=(child_conn, ring_handle, options, worker_args),
+                daemon=True,
+            )
+            worker.start()
+            self._workers.append(worker)
+            child_conn.close()
+            if use_shm:
+                endpoint = shm_ring.ShmEndpoint(
+                    parent_conn,
+                    send_ring=pair.down_ring,
+                    recv_ring=pair.up_ring,
+                    write_timeout=options.ring_write_timeout,
+                )
+            else:
+                endpoint = PipeEndpoint(parent_conn)
+            self._endpoints[pid] = self._live[pid] = endpoint
+            self._conn_to_pid[parent_conn] = pid
+        # The sender threads start only after every worker process exists:
+        # forking a child while another link's thread may hold a lock is
+        # the classic fork-with-threads hazard.  On the pipe transport
+        # every write goes through the thread so the router loop (also
+        # the only reader) can never block on a full pipe; on shm the
+        # router writes rings directly and drains uplinks while
+        # backpressured (safe: routing never sends inline).
+        for pid, endpoint in self._endpoints.items():
+            if use_shm:
+                self._links[pid] = _ShmLink(
+                    endpoint,
+                    lambda: self.drain(0.0005),
+                    lambda pid=pid: deliver(pid, ("__stalled__",)),
+                )
+            else:
+                self._links[pid] = _PipeLink(endpoint)
+
+    def send(self, pid: str, item: Tuple) -> None:
+        self._links[pid].send(item)
+
+    def drain(self, idle_timeout: float) -> None:
+        """Deliver every waiting uplink item (ring frames and pipe items
+        alike; ring senders nudge the pipe, so the wait wakes for both)."""
+        live = self._live
+        if not live:
+            # every uplink is gone; keep the caller's idle cadence
+            # instead of busy-spinning until the wall limit
+            wall_time.sleep(idle_timeout)
+            return
+        ready_pids = set()
+        for pid, endpoint in live.items():
+            try:
+                if endpoint.data_ready():
+                    ready_pids.add(pid)
+            except TransportError:
+                ready_pids.add(pid)  # torn cursor: diagnose in the drain
+        ready = mp_wait(
+            [endpoint.conn for endpoint in live.values()],
+            timeout=0.0 if ready_pids else idle_timeout,
+        )
+        ready_pids.update(self._conn_to_pid[conn] for conn in ready)
+        deliver = self._deliver
+        for pid in sorted(ready_pids):
+            endpoint = live.get(pid)
+            if endpoint is None:
+                continue
+            try:
+                for item in endpoint.drain():
+                    deliver(pid, item)
+            except (EOFError, OSError, TransportError):
+                # The worker's pipe closed (or it died mid-publish and
+                # left a torn ring cursor).  Salvage any frames it
+                # committed to its ring before dying, drop it from the
+                # wait set (a closed pipe reports permanently ready and
+                # would busy-spin the router) and report the loss.
+                try:
+                    for item in endpoint.drain_data():
+                        deliver(pid, item)
+                except TransportError:
+                    pass  # the ring itself is torn: nothing to salvage
+                live.pop(pid, None)
+                deliver(pid, ("__lost__",))
+
+    def close(self) -> None:
+        """Reclaim sender threads, workers, pipes and — on shm — every segment.
+
+        Idempotent because every step is: a second close only re-joins
+        finished threads and processes and re-closes closed handles.
+        """
+        for link in self._links.values():
+            link.close()
+        reap_workers(self._workers)
+        for endpoint in self._endpoints.values():  # incl. dead peers'
+            endpoint.close()
+        for pair in self._ring_pairs:
+            pair.close()
+
+    def stats(self, results) -> Tuple[Dict[str, int], Dict[str, int]]:
+        codec = new_stats()
+        for endpoint in self._endpoints.values():
+            for key, value in endpoint.stats.items():
+                codec[key] += value
+        parent_writes = sum(link.writes for link in self._links.values())
+        worker_writes = sum(result.get("uplink_writes", 0) for result in results.values())
+        return codec, {
+            "parent_pipe_writes": parent_writes,
+            "worker_pipe_writes": worker_writes,
+            "pipe_writes": parent_writes + worker_writes,
+        }
+
+
+class MPBackend(RoutedBackend):
+    """Real OS processes behind the cluster API, over pipes or shm rings.
+
+    A worker accumulates outgoing messages up to a flush watermark and
+    ships them as one frame; the router groups each tick's deliveries per
+    destination and writes one batch per worker.  See
+    :class:`RoutedBackend` for the limitations shared by every
+    real-process substrate.
     """
 
     name = "mp"
-    capabilities = frozenset({CAP_REAL_PROCESSES})
 
     def __init__(
         self,
         options: Optional[MPBackendOptions] = None,
         transport: Optional[str] = None,
     ) -> None:
-        super().__init__()
-        self.options = options or MPBackendOptions()
+        super().__init__(options or MPBackendOptions())
         if transport is not None:
             self.options = dataclass_replace(self.options, transport=transport)
         if self.options.transport not in TRANSPORTS:
@@ -979,553 +912,12 @@ class MPBackend(Backend):
                 f"unknown mp transport {self.options.transport!r}; "
                 f"expected one of {TRANSPORTS}"
             )
-        self._now = 0.0
-        self._fault_engine: Optional[MessageFaultEngine] = None
-        #: transport accounting of the last run (the batching benchmark's metric)
-        self.transport_stats: Dict[str, int] = {}
-        #: per-worker counters of the last run (sent/received/recorded/...)
-        self.worker_stats: Dict[str, Dict[str, int]] = {}
         #: shared-memory segment names of the last run (teardown tests)
         self.shm_segments: List[str] = []
 
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def fault_engine(self) -> Optional[MessageFaultEngine]:
-        return self._fault_engine
-
-    def start(self) -> None:
-        """No-op: workers are started inside :meth:`run`."""
-
-    # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None):
-        from repro.dsim.cluster import RunResult
-
-        cluster = self.cluster
-        if cluster._started:
-            raise SimulationError("the mp backend cannot re-enter a finished run")
-        if max_events is not None:
-            raise SimulationError(
-                "the mp backend cannot enforce max_events (runs are wall-clock "
-                "bounded); pass until= instead"
-            )
-        config = cluster.config
-        options = self.options
-        scale = options.time_scale
-
-        pids = tuple(cluster.pids)
-        factories = {}
-        for pid in pids:
-            factory = cluster.factory_for(pid)
-            if factory is None:
-                raise SimulationError(
-                    f"process {pid!r} was registered as an instance; the mp backend "
-                    "needs zero-argument factories to build workers"
-                )
-            factories[pid] = factory
-
-        plan = cluster.failure_plan
-        known_pids = set(pids)
-        for crash in plan.crashes:
-            if crash.pid not in known_pids:
-                raise UnknownProcessError(crash.pid)
-        for corruption in plan.corruptions:
-            if corruption.pid not in known_pids:
-                raise UnknownProcessError(corruption.pid)
-        self._fault_engine = MessageFaultEngine(plan.message_faults)
-        partitions = [p.to_partition() for p in plan.partitions]
-
-        sim_limit = min(until if until is not None else config.max_time, config.max_time)
-        wall_limit = min(sim_limit * scale, options.max_wall_seconds)
-
-        # crash/recover schedule driven by the router (sorted by wall time)
-        schedule: List[Tuple[float, int, str, str]] = []
-        order = 0
-        for crash in plan.crashes:
-            schedule.append((crash.at * scale, order, "crash", crash.pid))
-            order += 1
-            if crash.recover_at is not None:
-                schedule.append((crash.recover_at * scale, order, "recover", crash.pid))
-                order += 1
-        schedule.sort()
-        corruptions_by_pid: Dict[str, List[Tuple[float, bytes]]] = {}
-        for corruption in plan.corruptions:
-            try:
-                blob = pickle.dumps(corruption, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise SimulationError(
-                    "mp backend state-corruption faults must be picklable "
-                    f"(mutator for {corruption.pid!r} is not: {exc})"
-                ) from exc
-            corruptions_by_pid.setdefault(corruption.pid, []).append((corruption.at, blob))
-
-        # setup validated: the run is now committed (workers about to start)
-        cluster._started = True
-        use_shm = options.transport == "shm"
-        ctx = mp.get_context(options.resolved_start_method())
-        endpoints: Dict[str, Any] = {}
-        all_endpoints: Dict[str, Any] = {}
-        ring_pairs: Dict[str, shm_ring.RingPair] = {}
-        links: Dict[str, _WorkerLink] = {}
-        workers = []
-        self.shm_segments = []
-        start_wall = wall_time.monotonic()
-
-        hooks = cluster.hooks
-
-        # router state
-        tseq_counter = 0
-        in_flight: Dict[int, Tuple[str, Message]] = {}
-        pending_out: Dict[str, List[Tuple[int, Message]]] = {pid: [] for pid in pids}
-        delayed: List[Tuple[float, int, Message]] = []
-        crashed_pids: set = set()
-        schedule_index = 0
-        parent_writes = 0
-        routed = 0
-        delivered_batches = 0
-        max_batch = 0
-        dropped = 0
-        duplicated = 0
-        dead_letters = 0
-        uplink_messages = 0
-        probe_seq = 0
-        probe_round_dirty = True
-        probe_acks: Dict[str, Dict[str, int]] = {}
-        last_probe_at = -1.0
-        #: minimum wall seconds between probe rounds; bounds the idle-churn
-        #: writes while workers sit on long-armed timers
-        probe_interval = 0.005
-        results: Dict[str, Dict[str, Any]] = {}
-        recording = {"rng_draws": 0, "clock_reads": 0}
-        reason = "time-limit"
-
-        def elapsed() -> float:
-            return wall_time.monotonic() - start_wall
-
-        def update_now() -> None:
-            self._now = elapsed() / scale
-
-        def enqueue(dst: str, message: Message) -> None:
-            nonlocal tseq_counter, dead_letters, probe_round_dirty
-            if dst not in pending_out:
-                raise UnknownProcessError(dst)
-            if dst in crashed_pids:
-                dead_letters += 1
-                cluster._record_trace(dst, "dead-letter", message.describe())
-                return
-            tseq_counter += 1
-            in_flight[tseq_counter] = (dst, message)
-            pending_out[dst].append((tseq_counter, message))
-            probe_round_dirty = True
-
-        def route(message: Message) -> None:
-            nonlocal routed, dropped, duplicated
-            routed += 1
-            sent_at = message.send_time
-            hooks.on_send(message.src, message, sent_at, message.vt)
-            cluster._record_trace(message.src, "send", message.describe())
-            fault = self._fault_engine.decide(message, sent_at)
-            if fault is not None and fault.kind == "drop":
-                dropped += 1
-                hooks.on_drop(message, sent_at, message.vt)
-                cluster._record_trace(message.src, "fault-drop", message.describe())
-                return
-            if any(p.active_at(sent_at) and p.separates(message.src, message.dst) for p in partitions):
-                dropped += 1
-                hooks.on_drop(message, sent_at, message.vt)
-                cluster._record_trace(message.src, "drop", message.describe())
-                return
-            if fault is not None and fault.kind == "duplicate":
-                duplicated += 1
-                copy = message.as_duplicate()
-                hooks.on_duplicate(copy, sent_at, message.vt)
-                cluster._record_trace(copy.src, "duplicate", copy.describe())
-                enqueue(copy.dst, copy)
-            if fault is not None and fault.kind == "delay":
-                heapq.heappush(
-                    delayed, ((sent_at + fault.extra_delay) * scale, message.msg_id, message)
-                )
-                return
-            enqueue(message.dst, message)
-
-        def handle_flush(pid: str, log: List[Tuple]) -> None:
-            """Replay one worker flush *in occurrence order*.
-
-            The log interleaves sends, delivery receipts, timer firings,
-            violations and fault events exactly as they happened inside
-            the worker, so the hook chain (and therefore the Scroll and
-            any bug-report tail) observes the same ordering a simulator
-            run would produce.
-            """
-            nonlocal uplink_messages, probe_round_dirty
-            update_now()
-            for entry in log:
-                tag = entry[0]
-                if tag == "sent":
-                    uplink_messages += 1
-                    route(entry[1])
-                elif tag == "brecv":
-                    _, tseq, at = entry
-                    dst, message = in_flight[tseq]
-                    hooks.before_receive(dst, message, at)
-                elif tag == "handled":
-                    _, description, at = entry
-                    hooks.after_handler(pid, description, at)
-                elif tag == "recv":
-                    _, tseq, at, vt = entry
-                    dst, message = in_flight.pop(tseq)
-                    cluster._record_trace(dst, "receive", message.describe())
-                    hooks.on_receive(dst, message, at, vt)
-                elif tag == "dead":
-                    dst, message = in_flight.pop(entry[1])
-                    cluster._record_trace(dst, "dead-letter", message.describe())
-                elif tag == "timer":
-                    _, name, at, vt = entry
-                    cluster._record_trace(pid, "timer", name)
-                    hooks.on_timer(pid, name, at, vt)
-                elif tag == "violation":
-                    _, name, detail, at, vt = entry
-                    cluster._handle_violation(pid, name, detail, at, vt)
-                elif tag == "event":
-                    _, kind, detail, at, vt = entry
-                    if kind == "crash":
-                        cluster._record_trace(pid, "crash", "process crashed")
-                        hooks.on_crash(pid, at, vt)
-                    elif kind == "recover":
-                        cluster._record_trace(pid, "recover", "process recovered")
-                        hooks.on_recover(pid, at, vt)
-                    elif kind == "corrupt":
-                        cluster._record_trace(pid, "corrupt", detail)
-                        hooks.on_corruption(pid, detail, at, vt)
-                    probe_round_dirty = True
-                elif tag == "counters":
-                    # recording-depth deltas batched into the flush
-                    recording["rng_draws"] += entry[1]
-                    recording["clock_reads"] += entry[2]
-
-        def handle_item(pid: str, item) -> None:
-            nonlocal reason
-            tag = item[0]
-            if tag == "flush":
-                handle_flush(item[1], item[2])
-            elif tag == "probe_ack":
-                if item[2] == probe_seq:
-                    probe_acks[item[1]] = item[3]
-            elif tag == "result":
-                results[item[1]] = item[2]
-                if item[2].get("error"):
-                    cluster._record_trace(item[1], "error", item[2]["error"])
-                    cluster.halt(f"worker-error:{item[1]}")
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unexpected uplink item {tag!r} from {pid!r}")
-
-        conn_to_pid: Dict[Any, str] = {}
-        run_started = False
-
-        def drain_links(
-            link_map: Dict[str, Any], idle_timeout: float, lost_is_error: bool
-        ) -> None:
-            """Drain every uplink in ``link_map`` (ring frames and pipe items).
-
-            Dead peers are popped from ``link_map``; with
-            ``lost_is_error`` a peer that died without delivering its
-            result is recorded and halts the run (the router loop's
-            policy — the post-run collect loop tolerates it).
-            """
-            if not link_map:
-                # every uplink is gone; keep the loop's idle cadence
-                # instead of busy-spinning until the wall limit
-                wall_time.sleep(idle_timeout)
-                return
-            ready_pids = set()
-            for p, ep in link_map.items():
-                try:
-                    if ep.data_ready():
-                        ready_pids.add(p)
-                except shm_ring.TransportError:
-                    ready_pids.add(p)  # torn cursor: diagnose in the drain
-            ready = mp_wait(
-                [ep.conn for ep in link_map.values()],
-                timeout=0.0 if ready_pids else idle_timeout,
-            )
-            ready_pids.update(conn_to_pid[conn] for conn in ready)
-            for pid in sorted(ready_pids):
-                endpoint = link_map.get(pid)
-                if endpoint is None:
-                    continue
-                try:
-                    for item in endpoint.drain():
-                        handle_item(pid, item)
-                except (EOFError, OSError, shm_ring.TransportError):
-                    # The worker's pipe closed (or it died mid-publish and
-                    # left a torn ring cursor).  Salvage any frames it
-                    # committed to its ring before dying, drop it from
-                    # the wait set (a closed pipe reports permanently
-                    # ready and would busy-spin the router) and treat a
-                    # death without a result as a lost worker.
-                    try:
-                        for item in endpoint.drain_data():
-                            handle_item(pid, item)
-                    except shm_ring.TransportError:
-                        pass  # the ring itself is torn: nothing to salvage
-                    link_map.pop(pid, None)
-                    if lost_is_error and pid not in results:
-                        cluster._record_trace(
-                            pid, "error", "worker pipe closed unexpectedly"
-                        )
-                        cluster.halt(f"worker-lost:{pid}")
-
-        def drain_uplinks(idle_timeout: float) -> None:
-            """The router-loop drain: also re-entered from a backpressured
-            ring write (see :class:`_ShmLink`), which is safe because
-            routing never sends inline — routed messages only accumulate
-            in ``pending_out``."""
-            drain_links(endpoints, idle_timeout, lost_is_error=True)
+        links = _WorkerLinks(self.options)
         try:
-            for index, pid in enumerate(pids):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                ring_handle = None
-                if use_shm:
-                    pair = shm_ring.RingPair(options.ring_bytes)
-                    ring_pairs[pid] = pair
-                    self.shm_segments.extend(pair.segment_names)
-                    ring_handle = pair.child_handle()
-                worker = ctx.Process(
-                    target=_mp_worker_main,
-                    args=(
-                        pid,
-                        factories[pid],
-                        pids,
-                        config.seed,
-                        child_conn,
-                        options,
-                        config.check_invariants,
-                        wall_limit,
-                        corruptions_by_pid.get(pid, []),
-                        # disjoint per-worker msg_id ranges; the router (range
-                        # below 10^9, used for injected duplicates) never collides
-                        (index + 1) * 1_000_000_000,
-                        ring_handle,
-                    ),
-                    daemon=True,
-                )
-                worker.start()
-                child_conn.close()
-                if use_shm:
-                    endpoints[pid] = shm_ring.ShmEndpoint(
-                        parent_conn,
-                        send_ring=ring_pairs[pid].down_ring,
-                        recv_ring=ring_pairs[pid].up_ring,
-                        write_timeout=options.ring_write_timeout,
-                    )
-                else:
-                    endpoints[pid] = shm_ring.PipeEndpoint(parent_conn)
-                # registered as each is created, so a mid-spawn failure
-                # still closes every pipe/segment in the finally below
-                all_endpoints[pid] = endpoints[pid]
-                conn_to_pid[parent_conn] = pid
-                workers.append(worker)
-            # The sender threads start only after every worker process exists:
-            # forking a child while another link's thread may hold a lock is
-            # the classic fork-with-threads hazard.  On the pipe transport
-            # every write goes through the thread so the router loop (also
-            # the only reader) can never block on a full pipe; on shm the
-            # router writes rings directly and drains uplinks while
-            # backpressured, with the thread reserved for pipe blobs.
-            for pid, endpoint in endpoints.items():
-                if use_shm:
-                    def _stalled(stalled_pid=pid):
-                        cluster._record_trace(
-                            stalled_pid, "error",
-                            "worker stopped draining its ring (stalled)",
-                        )
-                        cluster.halt(f"worker-stalled:{stalled_pid}")
-
-                    links[pid] = _ShmLink(
-                        endpoint, lambda: drain_uplinks(0.0005), on_stalled=_stalled
-                    )
-                else:
-                    links[pid] = _WorkerLink(endpoint)
-
-            hooks.on_run_start(0.0)
-            run_started = True
-            while True:
-                update_now()
-                if elapsed() >= wall_limit:
-                    reason = "time-limit"
-                    break
-                if cluster._halted:
-                    reason = cluster._halt_reason or "halted"
-                    break
-                # fault schedule (crash / recover control messages)
-                while schedule_index < len(schedule) and schedule[schedule_index][0] <= elapsed():
-                    _, _, kind, target = schedule[schedule_index]
-                    schedule_index += 1
-                    links[target].send((kind,))
-                    if kind == "crash":
-                        crashed_pids.add(target)
-                        # in-flight deliveries to a crashed worker dead-letter
-                        # inside the worker; stop queueing new ones here.
-                    else:
-                        crashed_pids.discard(target)
-                    probe_round_dirty = True
-                # delayed messages whose injection deadline passed
-                while delayed and delayed[0][0] <= elapsed():
-                    _, _, message = heapq.heappop(delayed)
-                    enqueue(message.dst, message)
-                # drain worker uplinks (ring frames and pipe items alike;
-                # ring senders nudge the pipe, so the wait wakes for both)
-                drain_uplinks(0.002)
-                # ship this tick's deliveries, one batch per destination.
-                # Swap the batch list out FIRST: a backpressured ring write
-                # re-enters drain_uplinks, whose routing may enqueue new
-                # deliveries for this very destination — they must land in
-                # the fresh list (next tick), not be dropped with the old.
-                for dst in pending_out:
-                    batch = pending_out[dst]
-                    if not batch:
-                        continue
-                    pending_out[dst] = []
-                    if options.batch_deliveries:
-                        for cut in range(0, len(batch), options.max_batch_messages):
-                            piece = batch[cut:cut + options.max_batch_messages]
-                            links[dst].send(("batch", piece))
-                            delivered_batches += 1
-                            max_batch = max(max_batch, len(piece))
-                    else:
-                        for entry in batch:
-                            links[dst].send(("batch", [entry]))
-                            delivered_batches += 1
-                            max_batch = max(max_batch, 1)
-                # quiescence detection
-                busy = (
-                    in_flight
-                    or delayed
-                    or schedule_index < len(schedule)
-                    or any(pending_out.values())
-                )
-                if busy:
-                    probe_acks.clear()
-                    probe_round_dirty = True
-                    continue
-                if probe_round_dirty or len(probe_acks) < len(pids):
-                    if probe_round_dirty and elapsed() - last_probe_at >= probe_interval:
-                        probe_seq += 1
-                        probe_acks.clear()
-                        probe_round_dirty = False
-                        last_probe_at = elapsed()
-                        for link in links.values():
-                            link.send(("probe", probe_seq))
-                    continue
-                sent_total = sum(ack["sent_total"] for ack in probe_acks.values())
-                armed = sum(
-                    ack["timers_armed"] + ack.get("corruptions_pending", 0)
-                    for ack in probe_acks.values()
-                )
-                if sent_total == uplink_messages and armed == 0 and not in_flight:
-                    reason = "quiescent"
-                    break
-                # workers still have armed timers or scheduled corruptions
-                # (or a flush is in transit): fresh round on the next pass
-                probe_round_dirty = True
+            return self._run_router(links, until, max_events)
         finally:
-            update_now()
-            try:
-                for link in links.values():
-                    link.send(("stop",))
-                # collect results (late flushes keep hooks complete)
-                collect_deadline = wall_time.monotonic() + 5.0
-                live = dict(endpoints)
-                while len(results) < len(pids) and wall_time.monotonic() < collect_deadline:
-                    if not live:
-                        break
-                    drain_links(live, 0.1, lost_is_error=False)
-                # a final flush can land in the ring just before the pipe
-                # carries its worker's result: one last in-order sweep
-                for pid, endpoint in all_endpoints.items():
-                    try:
-                        for item in endpoint.drain_data():
-                            handle_item(pid, item)
-                    except shm_ring.TransportError:
-                        pass  # dead worker left a torn cursor
-            finally:
-                # reclamation must survive any error above (including a
-                # KeyboardInterrupt mid-run): sender threads, workers,
-                # pipes, and — on the shm transport — every segment.
-                for link in links.values():
-                    link.close()
-                parent_writes = sum(link.writes for link in links.values())
-                for worker in workers:
-                    worker.join(timeout=2.0)
-                    if worker.is_alive():  # pragma: no cover - defensive cleanup
-                        worker.terminate()
-                        worker.join(timeout=1.0)
-                for endpoint in all_endpoints.values():  # incl. dropped pids
-                    endpoint.close()
-                for pair in ring_pairs.values():
-                    pair.close()
-                if run_started:  # never fire an end without its start
-                    hooks.on_run_end(self._now)
-
-        # a worker error discovered while collecting results (e.g. a failing
-        # on_stop) must not masquerade as a clean quiescent run
-        if reason == "quiescent":
-            for pid, result in results.items():
-                if result.get("error"):
-                    reason = f"worker-error:{pid}"
-                    break
-        worker_writes = sum(result.get("uplink_writes", 0) for result in results.values())
-        self.worker_stats = results
-        # both transports account serialization the same way: parent-side
-        # endpoint counters plus the per-worker counters shipped in results
-        codec = shm_ring.new_stats()
-        for endpoint in all_endpoints.values():
-            for key, value in endpoint.stats.items():
-                codec[key] += value
-        for result in results.values():
-            for key, value in result.get("transport", {}).items():
-                codec[key] += value
-        self.transport_stats = {
-            "messages_routed": routed,
-            "messages_delivered": sum(r.get("received", 0) for r in results.values()),
-            "dropped": dropped,
-            "duplicated": duplicated,
-            "dead_letters": dead_letters,
-            "parent_pipe_writes": parent_writes,
-            "worker_pipe_writes": worker_writes,
-            "pipe_writes": parent_writes + worker_writes,
-            "delivery_batches": delivered_batches,
-            "max_batch": max_batch,
-            # serialization accounting (identical keys on pipe and shm)
-            "pickled_bytes": codec["pickled_bytes"],
-            "ring_frames": codec["ring_frames"],
-            "ring_bytes": codec["ring_bytes"],
-            "oversize_frames": codec["oversize_frames"],
-            "nudges": codec["nudges"],
-            "messages_fast": codec["messages_fast"],
-            "messages_pickled": codec["messages_pickled"],
-            # recording depth: per-worker counters batched into flushes
-            "rng_draws": recording["rng_draws"],
-            "clock_reads": recording["clock_reads"],
-        }
-        events = sum(
-            result.get("received", 0) + result.get("timer_fires", 0)
-            for result in results.values()
-        )
-        return RunResult(
-            events_executed=events,
-            final_time=self._now,
-            stopped_reason=reason,
-            violations=list(cluster._violations),
-            network_stats={
-                "delivered": sum(r.get("received", 0) for r in results.values()),
-                "dropped": dropped,
-                "duplicated": duplicated,
-            },
-            process_states={
-                pid: dict(result.get("state", {})) for pid, result in results.items()
-            },
-            trace=list(cluster._trace),
-        )
+            self.shm_segments = links.segment_names

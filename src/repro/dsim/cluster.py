@@ -13,9 +13,11 @@ violation policy and the run trace — and delegates execution to a
   channels);
 * :class:`~repro.dsim.backend.MPBackend` runs the same process classes
   on real OS processes, over a batched pipe transport or zero-pickle
-  shared-memory rings (``transport="pipe"|"shm"``).
+  shared-memory rings (``transport="pipe"|"shm"``);
+* :class:`~repro.dsim.net_backend.NetBackend` runs them over sharded
+  socket routers.
 
-Both backends accept the same registration surface (``add_process``,
+Every backend accepts the same registration surface (``add_process``,
 ``add_hook``, ``set_failure_plan``, ``register_scroll``) and the same
 ``run()`` entry point, and report through the same :class:`RunResult`.
 """
@@ -54,8 +56,8 @@ class ClusterConfig:
     check_invariants:
         When true (the default), every process's declared invariants are
         evaluated after each of its handlers — this is FixD's fault
-        detection point.  Honoured by both backends (the multiprocessing
-        workers check in-process and report violations to the parent).
+        detection point.  Honoured by every backend (real-process workers
+        check in-process and report violations to the router).
     halt_on_violation:
         When true, an unhandled invariant violation stops the run and is
         reported in the result; when false, the violation is recorded
@@ -97,7 +99,7 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    """Summary of a completed (or halted) run — identical for both backends."""
+    """Summary of a completed (or halted) run — identical on every backend."""
 
     events_executed: int
     final_time: float
@@ -196,7 +198,7 @@ class Cluster:
         hook.attach(self)
 
     def set_failure_plan(self, plan: FailurePlan) -> None:
-        """Install the fault-injection plan for this run (both backends)."""
+        """Install the fault-injection plan for this run (every backend)."""
         self._failure_plan = plan
 
     @property
@@ -252,7 +254,7 @@ class Cluster:
         Its :meth:`~repro.dsim.failure.MessageFaultEngine.hit_counts`
         are the ground truth for "did the injected message fault fire",
         which matters for fault kinds the Scroll has no entry for
-        (delays).  Available on both backends.
+        (delays).  Available on every backend.
         """
         return self.backend.fault_engine
 
@@ -319,7 +321,7 @@ class Cluster:
         vt=None,
         exc: Optional[InvariantViolation] = None,
     ) -> bool:
-        """Apply the violation policy (shared by both backends).
+        """Apply the violation policy (shared by every backend).
 
         Notifies the hook chain (which is where the FixD fault detector
         and its responders live), records the violation, and applies the

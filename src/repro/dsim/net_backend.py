@@ -25,21 +25,22 @@ Topology::
   inbound frames, encode outbound items, batch per-destination writes.
   With N shards the codec and syscall cost of routing spreads over N
   loops instead of serializing in one.
-* **The coordinator** (the ``run()`` loop) does the work that *must* be
+* **The coordinator** is the one :class:`~repro.dsim.router.Router`
+  every real-process backend runs.  It does the work that *must* be
   serial: fault-rule decisions, hook replay and the Scroll are one
   ordered log, so flushes from every shard funnel into one uplink queue
-  and are replayed in arrival order — exactly the mp router's
-  semantics.  Routed deliveries are handed back to the destination's
-  shard over its **inter-shard link** (:meth:`ShardRouter.submit`, a
-  thread-safe handoff onto the owning loop): a message from a worker on
-  shard A to a worker on shard B is decoded on A's loop, routed by the
-  coordinator, and encoded + written on B's loop.
+  and are replayed in arrival order.  Routed deliveries are handed back
+  to the destination's shard over its **inter-shard link**
+  (:meth:`ShardRouter.submit`, a thread-safe handoff onto the owning
+  loop): a message from a worker on shard A to a worker on shard B is
+  decoded on A's loop, routed by the coordinator, and encoded + written
+  on B's loop.
 
-Fault-plan mapping, probe-based quiescence, the flush-log protocol and
-the halt reasons (``worker-lost:<pid>``, ``worker-stalled:<pid>``,
-``worker-error:<pid>``) all match :class:`~repro.dsim.backend.MPBackend`
-— the parity suite asserts identical app-level final states across all
-three substrates.
+Because the router and the worker loop are shared, fault-plan mapping,
+probe-based quiescence, the flush-log protocol and the halt reasons
+(``worker-lost:<pid>``, ``worker-stalled:<pid>``, ``worker-error:<pid>``)
+are those of :class:`~repro.dsim.backend.MPBackend` by construction;
+this module only contributes the link set (:class:`_ShardLinks`).
 
 This module is dsim-internal; construct it via ``backend="net"`` on a
 :class:`~repro.api.scenario.Scenario`, ``FixDConfig`` or ``Cluster``
@@ -51,45 +52,40 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import heapq
 import multiprocessing as mp
 import os
-import pickle
 import queue as queue_module
 import shutil
 import socket
-import sys
 import tempfile
 import threading
-import time as wall_time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dsim import net_transport
-from repro.dsim.backend import CAP_REAL_PROCESSES, Backend, _mp_worker_loop
-from repro.dsim.failure import MessageFaultEngine
-from repro.dsim.message import Message
-from repro.errors import SimulationError, UnknownProcessError
+from repro.dsim.backend import RoutedBackend
+from repro.dsim.router import RouterOptions, reap_workers, worker_loop
+from repro.errors import SimulationError
 
 SOCKET_FAMILIES = net_transport.SOCKET_FAMILIES
 
 
 @dataclass
-class NetBackendOptions:
+class NetBackendOptions(RouterOptions):
     """Tuning knobs of the socket substrate.
+
+    The shared knobs (``time_scale``, ``flush_watermark``,
+    ``batch_deliveries``, ``max_batch_messages``, ``max_wall_seconds``)
+    are documented on :class:`~repro.dsim.router.RouterOptions` — the
+    worker loop and the batching watermarks are shared, so a plan
+    written for the mp backend injects at the equivalent wall moment
+    here.  ``flush_watermark=1`` plus ``batch_deliveries=False``
+    degenerates to one socket write per message, kept reachable as the
+    net batching benchmark's baseline.
 
     Attributes
     ----------
-    time_scale / flush_watermark / batch_deliveries / max_batch_messages /
-    max_wall_seconds:
-        Same meaning as on :class:`~repro.dsim.backend.MPBackendOptions`
-        — the worker loop and the batching watermarks are shared, so a
-        plan written for the mp backend injects at the equivalent wall
-        moment here.  ``flush_watermark=1`` plus
-        ``batch_deliveries=False`` degenerates to one socket write per
-        message, kept reachable as the net batching benchmark's
-        baseline.
     shards:
         Number of shard routers.  Each runs its own asyncio loop on its
         own thread and owns the connections of the pids the hash ring
@@ -120,11 +116,6 @@ class NetBackendOptions:
         backend (``fork`` on Linux, ``spawn`` elsewhere).
     """
 
-    time_scale: float = 0.02
-    flush_watermark: int = 64
-    batch_deliveries: bool = True
-    max_batch_messages: int = 128
-    max_wall_seconds: float = 30.0
     shards: int = 2
     family: str = "unix"
     max_frame_bytes: int = net_transport.DEFAULT_MAX_FRAME_BYTES
@@ -134,13 +125,6 @@ class NetBackendOptions:
     write_timeout: float = 10.0
     socket_buffer_bytes: Optional[int] = None
     start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method:
-            return self.start_method
-        if sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods():
-            return "fork"
-        return "spawn"
 
 
 def _stable_hash(token: str) -> int:
@@ -173,27 +157,13 @@ class ConsistentHashRing:
         return self._shards[index]
 
 
-def _net_worker_main(
-    pid: str,
-    factory,
-    all_pids: Tuple[str, ...],
-    seed: int,
-    address,
-    options: NetBackendOptions,
-    check_invariants: bool,
-    wall_limit: float,
-    corruptions: List[Tuple[float, bytes]],
-    msg_id_base: int,
-) -> None:
+def _net_worker_main(address, options: NetBackendOptions, worker_args: Tuple) -> None:
     """Entry point of one net worker: connect, hello, run the worker loop.
 
-    The loop itself is :func:`repro.dsim.backend._mp_worker_loop` — the
+    The loop itself is :func:`repro.dsim.router.worker_loop` — the
     protocol (flush log, probes, crash/recover, result) is transport-
     independent, which is the point of the endpoint abstraction.
     """
-    from repro.dsim.message import reset_message_ids
-
-    reset_message_ids(msg_id_base)
     try:
         sock = net_transport.connect_with_retry(
             address,
@@ -213,18 +183,8 @@ def _net_worker_main(
     try:
         # the hello maps this connection to its pid on the shard; it must
         # be first on the stream, before any flush
-        endpoint.send_control(("hello", pid))
-        _mp_worker_loop(
-            pid,
-            factory,
-            all_pids,
-            seed,
-            endpoint,
-            options,
-            check_invariants,
-            wall_limit,
-            corruptions,
-        )
+        endpoint.send_control(("hello", worker_args[0]))
+        worker_loop(endpoint, options, *worker_args)
     except net_transport.TransportError:
         pass  # router went away mid-handshake: nothing left to report to
     finally:
@@ -458,25 +418,119 @@ class ShardRouter:
             conn.writer_active = False
 
 
-class NetBackend(Backend):
+class _ShardLinks:
+    """The net link set: N shard routers, one socket per worker.
+
+    Implements the five operations :mod:`repro.dsim.router` documents.
+    Flushes from every shard funnel into one uplink queue, so
+    :meth:`drain` hands them to the router in arrival order; the shards
+    already report a closed connection as ``("__lost__",)`` and a write
+    timeout as ``("__stalled__",)``.
+    """
+
+    def __init__(self, options: NetBackendOptions, pids: Tuple[str, ...]) -> None:
+        self.options = options
+        self.shard_count = max(1, min(options.shards, len(pids) or 1))
+        ring = ConsistentHashRing(self.shard_count)
+        #: pid → shard placement for this run
+        self.placement: Dict[str, int] = {pid: ring.shard_for(pid) for pid in pids}
+        #: unix socket paths of this run's shards
+        self.socket_paths: List[str] = []
+        self._uplink: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
+        self._shards: List[ShardRouter] = []
+        self._workers: List = []
+        self._socket_dir: Optional[str] = None
+        self._deliver = None
+
+    def open(self, spawn, deliver) -> None:
+        self._deliver = deliver
+        options = self.options
+        if options.family == "unix":
+            self._socket_dir = tempfile.mkdtemp(prefix="fixd-net-")
+        # 1. shard routers: bound + listening, loops NOT yet running —
+        #    workers must fork before any router thread exists (the
+        #    classic fork-with-threads hazard); their connects queue
+        #    in the listen backlog until the loops start.
+        for shard_id in range(self.shard_count):
+            self._shards.append(
+                ShardRouter(shard_id, options, self._uplink, self._socket_dir)
+            )
+        self.socket_paths = [s.socket_path for s in self._shards if s.socket_path]
+        # 2. workers
+        ctx = mp.get_context(options.resolved_start_method())
+        for pid, worker_args in spawn.items():
+            address = self._shards[self.placement[pid]].address
+            worker = ctx.Process(
+                target=_net_worker_main,
+                args=(address, options, worker_args),
+                daemon=True,
+            )
+            worker.start()
+            self._workers.append(worker)
+        # 3. now the shard loops may spin up their threads
+        for shard in self._shards:
+            shard.start()
+
+    def send(self, pid: str, item: Tuple) -> None:
+        self._shards[self.placement[pid]].submit(pid, item)
+
+    def drain(self, idle_timeout: float) -> None:
+        """Deliver everything queued by the shard readers, in arrival order."""
+        uplink = self._uplink
+        deliver = self._deliver
+        try:
+            pid, item = uplink.get(timeout=idle_timeout)
+        except queue_module.Empty:
+            return
+        while True:
+            deliver(pid, item)
+            try:
+                pid, item = uplink.get_nowait()
+            except queue_module.Empty:
+                return
+
+    def close(self) -> None:
+        """Stop the shard loops, reap the workers, remove the socket dir."""
+        for shard in self._shards:
+            shard.close()
+        reap_workers(self._workers)
+        if self._socket_dir is not None:
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
+
+    def stats(self, results) -> Tuple[Dict[str, int], Dict[str, int]]:
+        codec = net_transport.new_socket_stats()
+        for shard in self._shards:
+            for key, value in shard.stats.items():
+                codec[key] += value
+        workers = [result.get("transport", {}) for result in results.values()]
+        parent_writes = codec["socket_writes"]
+        worker_writes = sum(stats.get("socket_writes", 0) for stats in workers)
+        return codec, {
+            "shards": self.shard_count,
+            "parent_socket_writes": parent_writes,
+            "worker_socket_writes": worker_writes,
+            "socket_writes": parent_writes + worker_writes,
+            "socket_bytes": codec["socket_bytes"]
+            + sum(stats.get("socket_bytes", 0) for stats in workers),
+        }
+
+
+class NetBackend(RoutedBackend):
     """Real OS processes over sharded socket routers.
 
-    Semantics match :class:`~repro.dsim.backend.MPBackend` (same worker
-    loop, same flush-log replay, same probe quiescence, same
-    limitations: wall-clock timers, cooperative crashes, no
-    checkpoint/rollback capability — FixD degrades to detection and
-    reporting).  What changes is the transport topology: N shard
-    routers own the worker connections and parallelize codec + syscall
-    work, while this ``run()`` loop keeps the serial responsibilities —
-    fault decisions, hook replay, the Scroll — exactly once.
+    Semantics match :class:`~repro.dsim.backend.MPBackend` — it is the
+    same :class:`~repro.dsim.router.Router` and the same worker loop,
+    with the limitations :class:`~repro.dsim.backend.RoutedBackend`
+    lists.  What changes is the transport topology: N shard routers own
+    the worker connections and parallelize codec + syscall work, while
+    the router keeps the serial responsibilities — fault decisions, hook
+    replay, the Scroll — exactly once.
     """
 
     name = "net"
-    capabilities = frozenset({CAP_REAL_PROCESSES})
 
     def __init__(self, options: Optional[NetBackendOptions] = None) -> None:
-        super().__init__()
-        self.options = options or NetBackendOptions()
+        super().__init__(options or NetBackendOptions())
         if self.options.family not in SOCKET_FAMILIES:
             raise SimulationError(
                 f"unknown socket family {self.options.family!r}; "
@@ -486,473 +540,15 @@ class NetBackend(Backend):
             raise SimulationError(
                 f"the net backend needs >= 1 shard, got {self.options.shards}"
             )
-        self._now = 0.0
-        self._fault_engine: Optional[MessageFaultEngine] = None
-        #: transport accounting of the last run (the batching benchmark's metric)
-        self.transport_stats: Dict[str, int] = {}
-        #: per-worker counters of the last run (sent/received/recorded/...)
-        self.worker_stats: Dict[str, Dict[str, Any]] = {}
         #: unix socket paths of the last run (teardown-leak tests)
         self.socket_paths: List[str] = []
         #: pid → shard placement of the last run
         self.placement: Dict[str, int] = {}
 
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def fault_engine(self) -> Optional[MessageFaultEngine]:
-        return self._fault_engine
-
-    def start(self) -> None:
-        """No-op: shard routers and workers are started inside :meth:`run`."""
-
-    # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None):
-        from repro.dsim.cluster import RunResult
-
-        cluster = self.cluster
-        if cluster._started:
-            raise SimulationError("the net backend cannot re-enter a finished run")
-        if max_events is not None:
-            raise SimulationError(
-                "the net backend cannot enforce max_events (runs are wall-clock "
-                "bounded); pass until= instead"
-            )
-        config = cluster.config
-        options = self.options
-        scale = options.time_scale
-
-        pids = tuple(cluster.pids)
-        factories = {}
-        for pid in pids:
-            factory = cluster.factory_for(pid)
-            if factory is None:
-                raise SimulationError(
-                    f"process {pid!r} was registered as an instance; the net backend "
-                    "needs zero-argument factories to build workers"
-                )
-            factories[pid] = factory
-
-        plan = cluster.failure_plan
-        known_pids = set(pids)
-        for crash in plan.crashes:
-            if crash.pid not in known_pids:
-                raise UnknownProcessError(crash.pid)
-        for corruption in plan.corruptions:
-            if corruption.pid not in known_pids:
-                raise UnknownProcessError(corruption.pid)
-        self._fault_engine = MessageFaultEngine(plan.message_faults)
-        partitions = [p.to_partition() for p in plan.partitions]
-
-        sim_limit = min(until if until is not None else config.max_time, config.max_time)
-        wall_limit = min(sim_limit * scale, options.max_wall_seconds)
-
-        schedule: List[Tuple[float, int, str, str]] = []
-        order = 0
-        for crash in plan.crashes:
-            schedule.append((crash.at * scale, order, "crash", crash.pid))
-            order += 1
-            if crash.recover_at is not None:
-                schedule.append((crash.recover_at * scale, order, "recover", crash.pid))
-                order += 1
-        schedule.sort()
-        corruptions_by_pid: Dict[str, List[Tuple[float, bytes]]] = {}
-        for corruption in plan.corruptions:
-            try:
-                blob = pickle.dumps(corruption, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise SimulationError(
-                    "net backend state-corruption faults must be picklable "
-                    f"(mutator for {corruption.pid!r} is not: {exc})"
-                ) from exc
-            corruptions_by_pid.setdefault(corruption.pid, []).append((corruption.at, blob))
-
-        # setup validated: the run is now committed
-        cluster._started = True
-        shard_count = max(1, min(options.shards, len(pids) or 1))
-        ring = ConsistentHashRing(shard_count)
-        self.placement = {pid: ring.shard_for(pid) for pid in pids}
-        socket_dir = (
-            tempfile.mkdtemp(prefix="fixd-net-") if options.family == "unix" else None
-        )
-        uplink: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
-        shards: List[ShardRouter] = []
-        workers = []
-        ctx = mp.get_context(options.resolved_start_method())
-        start_wall = wall_time.monotonic()
-
-        hooks = cluster.hooks
-
-        # router state (identical accounting to the mp router)
-        tseq_counter = 0
-        in_flight: Dict[int, Tuple[str, Message]] = {}
-        pending_out: Dict[str, List[Tuple[int, Message]]] = {pid: [] for pid in pids}
-        delayed: List[Tuple[float, int, Message]] = []
-        crashed_pids: set = set()
-        live_pids = set(pids)
-        schedule_index = 0
-        routed = 0
-        delivered_batches = 0
-        max_batch = 0
-        dropped = 0
-        duplicated = 0
-        dead_letters = 0
-        uplink_messages = 0
-        probe_seq = 0
-        probe_round_dirty = True
-        probe_acks: Dict[str, Dict[str, int]] = {}
-        last_probe_at = -1.0
-        probe_interval = 0.005
-        results: Dict[str, Dict[str, Any]] = {}
-        recording = {"rng_draws": 0, "clock_reads": 0}
-        reason = "time-limit"
-        lost_is_error = True
-
-        def elapsed() -> float:
-            return wall_time.monotonic() - start_wall
-
-        def update_now() -> None:
-            self._now = elapsed() / scale
-
-        def enqueue(dst: str, message: Message) -> None:
-            nonlocal tseq_counter, dead_letters, probe_round_dirty
-            if dst not in pending_out:
-                raise UnknownProcessError(dst)
-            if dst in crashed_pids:
-                dead_letters += 1
-                cluster._record_trace(dst, "dead-letter", message.describe())
-                return
-            tseq_counter += 1
-            in_flight[tseq_counter] = (dst, message)
-            pending_out[dst].append((tseq_counter, message))
-            probe_round_dirty = True
-
-        def route(message: Message) -> None:
-            nonlocal routed, dropped, duplicated
-            routed += 1
-            sent_at = message.send_time
-            hooks.on_send(message.src, message, sent_at, message.vt)
-            cluster._record_trace(message.src, "send", message.describe())
-            fault = self._fault_engine.decide(message, sent_at)
-            if fault is not None and fault.kind == "drop":
-                dropped += 1
-                hooks.on_drop(message, sent_at, message.vt)
-                cluster._record_trace(message.src, "fault-drop", message.describe())
-                return
-            if any(
-                p.active_at(sent_at) and p.separates(message.src, message.dst)
-                for p in partitions
-            ):
-                dropped += 1
-                hooks.on_drop(message, sent_at, message.vt)
-                cluster._record_trace(message.src, "drop", message.describe())
-                return
-            if fault is not None and fault.kind == "duplicate":
-                duplicated += 1
-                copy = message.as_duplicate()
-                hooks.on_duplicate(copy, sent_at, message.vt)
-                cluster._record_trace(copy.src, "duplicate", copy.describe())
-                enqueue(copy.dst, copy)
-            if fault is not None and fault.kind == "delay":
-                heapq.heappush(
-                    delayed, ((sent_at + fault.extra_delay) * scale, message.msg_id, message)
-                )
-                return
-            enqueue(message.dst, message)
-
-        def handle_flush(pid: str, log: List[Tuple]) -> None:
-            # replayed in occurrence order — see MPBackend.handle_flush;
-            # flushes from different shards interleave in uplink arrival
-            # order, which is as close to wall order as sockets can say
-            nonlocal uplink_messages, probe_round_dirty
-            update_now()
-            for entry in log:
-                tag = entry[0]
-                if tag == "sent":
-                    uplink_messages += 1
-                    route(entry[1])
-                elif tag == "brecv":
-                    _, tseq, at = entry
-                    dst, message = in_flight[tseq]
-                    hooks.before_receive(dst, message, at)
-                elif tag == "handled":
-                    _, description, at = entry
-                    hooks.after_handler(pid, description, at)
-                elif tag == "recv":
-                    _, tseq, at, vt = entry
-                    dst, message = in_flight.pop(tseq)
-                    cluster._record_trace(dst, "receive", message.describe())
-                    hooks.on_receive(dst, message, at, vt)
-                elif tag == "dead":
-                    dst, message = in_flight.pop(entry[1])
-                    cluster._record_trace(dst, "dead-letter", message.describe())
-                elif tag == "timer":
-                    _, name, at, vt = entry
-                    cluster._record_trace(pid, "timer", name)
-                    hooks.on_timer(pid, name, at, vt)
-                elif tag == "violation":
-                    _, name, detail, at, vt = entry
-                    cluster._handle_violation(pid, name, detail, at, vt)
-                elif tag == "event":
-                    _, kind, detail, at, vt = entry
-                    if kind == "crash":
-                        cluster._record_trace(pid, "crash", "process crashed")
-                        hooks.on_crash(pid, at, vt)
-                    elif kind == "recover":
-                        cluster._record_trace(pid, "recover", "process recovered")
-                        hooks.on_recover(pid, at, vt)
-                    elif kind == "corrupt":
-                        cluster._record_trace(pid, "corrupt", detail)
-                        hooks.on_corruption(pid, detail, at, vt)
-                    probe_round_dirty = True
-                elif tag == "counters":
-                    recording["rng_draws"] += entry[1]
-                    recording["clock_reads"] += entry[2]
-
-        def handle_item(pid: str, item) -> None:
-            tag = item[0]
-            if tag == "flush":
-                handle_flush(item[1], item[2])
-            elif tag == "probe_ack":
-                if item[2] == probe_seq:
-                    probe_acks[item[1]] = item[3]
-            elif tag == "result":
-                results[item[1]] = item[2]
-                if item[2].get("error"):
-                    cluster._record_trace(item[1], "error", item[2]["error"])
-                    cluster.halt(f"worker-error:{item[1]}")
-            elif tag == "__lost__":
-                live_pids.discard(pid)
-                if lost_is_error and pid not in results:
-                    cluster._record_trace(pid, "error", "worker socket closed unexpectedly")
-                    cluster.halt(f"worker-lost:{pid}")
-            elif tag == "__stalled__":
-                if lost_is_error:
-                    cluster._record_trace(
-                        pid, "error", "worker stopped draining its socket (stalled)"
-                    )
-                    cluster.halt(f"worker-stalled:{pid}")
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unexpected uplink item {tag!r} from {pid!r}")
-
-        def drain_uplink(idle_timeout: float) -> None:
-            """Handle everything queued by the shard readers, in arrival order."""
-            try:
-                pid, item = uplink.get(timeout=idle_timeout)
-            except queue_module.Empty:
-                return
-            while True:
-                handle_item(pid, item)
-                try:
-                    pid, item = uplink.get_nowait()
-                except queue_module.Empty:
-                    return
-
-        run_started = False
+        links = _ShardLinks(self.options, tuple(self.cluster.pids))
+        self.placement = links.placement
         try:
-            # 1. shard routers: bound + listening, loops NOT yet running —
-            #    workers must fork before any router thread exists (the
-            #    classic fork-with-threads hazard); their connects queue
-            #    in the listen backlog until the loops start.
-            for shard_id in range(shard_count):
-                shards.append(ShardRouter(shard_id, options, uplink, socket_dir))
-            self.socket_paths = [s.socket_path for s in shards if s.socket_path]
-            # 2. workers
-            for index, pid in enumerate(pids):
-                shard = shards[self.placement[pid]]
-                worker = ctx.Process(
-                    target=_net_worker_main,
-                    args=(
-                        pid,
-                        factories[pid],
-                        pids,
-                        config.seed,
-                        shard.address,
-                        options,
-                        config.check_invariants,
-                        wall_limit,
-                        corruptions_by_pid.get(pid, []),
-                        # disjoint per-worker msg_id ranges (router range is
-                        # below 10^9, used for injected duplicates)
-                        (index + 1) * 1_000_000_000,
-                    ),
-                    daemon=True,
-                )
-                worker.start()
-                workers.append(worker)
-            # 3. now the shard loops may spin up their threads
-            for shard in shards:
-                shard.start()
-
-            def submit(pid: str, item: Tuple) -> None:
-                shards[self.placement[pid]].submit(pid, item)
-
-            hooks.on_run_start(0.0)
-            run_started = True
-            while True:
-                update_now()
-                if elapsed() >= wall_limit:
-                    reason = "time-limit"
-                    break
-                if cluster._halted:
-                    reason = cluster._halt_reason or "halted"
-                    break
-                # fault schedule (crash / recover control frames; in-stream,
-                # so they cannot leapfrog deliveries already submitted)
-                while schedule_index < len(schedule) and schedule[schedule_index][0] <= elapsed():
-                    _, _, kind, target = schedule[schedule_index]
-                    schedule_index += 1
-                    submit(target, (kind,))
-                    if kind == "crash":
-                        crashed_pids.add(target)
-                    else:
-                        crashed_pids.discard(target)
-                    probe_round_dirty = True
-                # delayed messages whose injection deadline passed
-                while delayed and delayed[0][0] <= elapsed():
-                    _, _, message = heapq.heappop(delayed)
-                    enqueue(message.dst, message)
-                # drain worker uplinks (flushes, acks, results, losses)
-                drain_uplink(0.002)
-                # ship this tick's deliveries, one batch per destination.
-                # Swap the batch list out FIRST: routing inside drain_uplink
-                # may append to pending_out for this very destination.
-                for dst in pending_out:
-                    batch = pending_out[dst]
-                    if not batch:
-                        continue
-                    pending_out[dst] = []
-                    if options.batch_deliveries:
-                        for cut in range(0, len(batch), options.max_batch_messages):
-                            piece = batch[cut:cut + options.max_batch_messages]
-                            submit(dst, ("batch", piece))
-                            delivered_batches += 1
-                            max_batch = max(max_batch, len(piece))
-                    else:
-                        for entry in batch:
-                            submit(dst, ("batch", [entry]))
-                            delivered_batches += 1
-                            max_batch = max(max_batch, 1)
-                # quiescence detection (same probe protocol as mp)
-                busy = (
-                    in_flight
-                    or delayed
-                    or schedule_index < len(schedule)
-                    or any(pending_out.values())
-                )
-                if busy:
-                    probe_acks.clear()
-                    probe_round_dirty = True
-                    continue
-                if probe_round_dirty or len(probe_acks) < len(pids):
-                    if probe_round_dirty and elapsed() - last_probe_at >= probe_interval:
-                        probe_seq += 1
-                        probe_acks.clear()
-                        probe_round_dirty = False
-                        last_probe_at = elapsed()
-                        for pid in pids:
-                            submit(pid, ("probe", probe_seq))
-                    continue
-                sent_total = sum(ack["sent_total"] for ack in probe_acks.values())
-                armed = sum(
-                    ack["timers_armed"] + ack.get("corruptions_pending", 0)
-                    for ack in probe_acks.values()
-                )
-                if sent_total == uplink_messages and armed == 0 and not in_flight:
-                    reason = "quiescent"
-                    break
-                probe_round_dirty = True
+            return self._run_router(links, until, max_events)
         finally:
-            update_now()
-            try:
-                lost_is_error = False
-                for pid in pids:
-                    try:
-                        shards[self.placement[pid]].submit(pid, ("stop",))
-                    except Exception:  # pragma: no cover - defensive teardown
-                        pass
-                # collect results (late flushes keep hooks complete)
-                collect_deadline = wall_time.monotonic() + 5.0
-                while len(results) < len(pids) and wall_time.monotonic() < collect_deadline:
-                    if not live_pids and uplink.empty():
-                        break  # every connection closed and queue drained
-                    drain_uplink(0.1)
-            finally:
-                for shard in shards:
-                    shard.close()
-                for worker in workers:
-                    worker.join(timeout=2.0)
-                    if worker.is_alive():  # pragma: no cover - defensive cleanup
-                        worker.terminate()
-                        worker.join(timeout=1.0)
-                if socket_dir is not None:
-                    shutil.rmtree(socket_dir, ignore_errors=True)
-                if run_started:  # never fire an end without its start
-                    hooks.on_run_end(self._now)
-
-        # a worker error discovered while collecting results must not
-        # masquerade as a clean quiescent run
-        if reason == "quiescent":
-            for pid, result in results.items():
-                if result.get("error"):
-                    reason = f"worker-error:{pid}"
-                    break
-        self.worker_stats = results
-        codec = net_transport.new_socket_stats()
-        for shard in shards:
-            for key, value in shard.stats.items():
-                codec[key] = codec.get(key, 0) + value
-        for result in results.values():
-            for key, value in result.get("transport", {}).items():
-                codec[key] = codec.get(key, 0) + value
-        parent_writes = sum(shard.stats["socket_writes"] for shard in shards)
-        worker_writes = sum(
-            result.get("transport", {}).get("socket_writes", 0)
-            for result in results.values()
-        )
-        self.transport_stats = {
-            "messages_routed": routed,
-            "messages_delivered": sum(r.get("received", 0) for r in results.values()),
-            "dropped": dropped,
-            "duplicated": duplicated,
-            "dead_letters": dead_letters,
-            "shards": shard_count,
-            "parent_socket_writes": parent_writes,
-            "worker_socket_writes": worker_writes,
-            "socket_writes": parent_writes + worker_writes,
-            "socket_bytes": codec["socket_bytes"],
-            "delivery_batches": delivered_batches,
-            "max_batch": max_batch,
-            # serialization accounting (identical keys on pipe/shm/net)
-            "pickled_bytes": codec["pickled_bytes"],
-            "ring_frames": codec["ring_frames"],
-            "ring_bytes": codec["ring_bytes"],
-            "oversize_frames": codec["oversize_frames"],
-            "nudges": codec["nudges"],
-            "messages_fast": codec["messages_fast"],
-            "messages_pickled": codec["messages_pickled"],
-            # recording depth: per-worker counters batched into flushes
-            "rng_draws": recording["rng_draws"],
-            "clock_reads": recording["clock_reads"],
-        }
-        events = sum(
-            result.get("received", 0) + result.get("timer_fires", 0)
-            for result in results.values()
-        )
-        return RunResult(
-            events_executed=events,
-            final_time=self._now,
-            stopped_reason=reason,
-            violations=list(cluster._violations),
-            network_stats={
-                "delivered": sum(r.get("received", 0) for r in results.values()),
-                "dropped": dropped,
-                "duplicated": duplicated,
-            },
-            process_states={
-                pid: dict(result.get("state", {})) for pid, result in results.items()
-            },
-            trace=list(cluster._trace),
-        )
+            self.socket_paths = links.socket_paths

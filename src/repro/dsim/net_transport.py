@@ -1,31 +1,29 @@
-"""Socket framing for the net backend: the shm codec over a byte stream.
+"""Socket framing for the net backend: the wire codec over a byte stream.
 
-The net transport moves the exact frames :mod:`repro.dsim.shm_ring`
+The net transport moves the exact frames :mod:`repro.dsim.wire`
 defines — marshal-packed flat ``flush``/``batch`` payloads, pickled
-control — over TCP or Unix-domain stream sockets instead of a
-shared-memory ring.  A ring is a bounded FIFO of self-delimiting
-frames; a stream socket is an unbounded FIFO of bytes, so the only new
-layer here is *length-prefixed framing*:
+control — over TCP or Unix-domain stream sockets.  A stream socket is
+an unbounded FIFO of bytes, so the only layer added here is
+*length-prefixed framing*:
 
     [u32 frame length (big endian)] [frame bytes]
 
-where the frame bytes are byte-for-byte what :func:`shm_ring.encode_item`
-would have written into a ring (tag byte + marshal/pickle payload).
-Frames larger than ``max_frame_bytes`` are split into the ring's own
-``_F_CHUNK`` pieces (``[tag][last? u8][part bytes]``) so a receiver's
-per-frame reassembly buffer stays bounded no matter what an application
-ships as a payload.  Reusing the codec verbatim keeps the delivery hot
-path out of ``pickle`` and keeps the accounting keys
-(``pickled_bytes`` / ``messages_fast`` / ``nudges`` / ...) identical,
-so the parity and benchmark plumbing built for the pipe and shm
-transports applies to sockets unchanged.
+where the frame bytes are byte-for-byte what :func:`wire.encode_item`
+produces (tag byte + marshal/pickle payload).  Frames larger than
+``max_frame_bytes`` are split into the codec's ``F_CHUNK`` pieces
+(``[tag][last? u8][part bytes]``) so a receiver's per-frame reassembly
+buffer stays bounded no matter what an application ships as a payload.
+Sharing the codec keeps the delivery hot path out of ``pickle`` and
+keeps the accounting keys (``pickled_bytes`` / ``messages_fast`` /
+``nudges`` / ...) identical, so the parity and benchmark plumbing built
+for the pipe and shm links applies to sockets unchanged.
 
 Two differences from the ring transport, both simplifications:
 
 * there is no separate control plane — a socket is one ordered stream,
   so probes, acks, results and the hello handshake travel as pickled
-  frames *in-line* (crash/recover control was already in-stream on shm
-  via ``_ORDERED_CONTROL``), and crash-vs-delivery ordering is free;
+  frames *in-line* (crash/recover control is in-stream on shm too, see
+  ``wire._ORDERED_CONTROL``), and crash-vs-delivery ordering is free;
 * there are no wakeup nudges — ``select`` observes socket data
   directly, so ``stats["nudges"]`` stays 0 by construction.
 
@@ -43,12 +41,12 @@ import struct
 import time as wall_time
 from typing import Dict, List, Optional, Tuple
 
-from repro.dsim.shm_ring import (
-    _F_CHUNK,
-    _encode_pickled,
+from repro.dsim.wire import (
+    F_CHUNK,
     TransportError,
     decode_item,
     encode_item,
+    encode_pickled,
     new_stats,
 )
 
@@ -56,7 +54,7 @@ from repro.dsim.shm_ring import (
 _HEADER = struct.Struct(">I")
 HEADER_BYTES = _HEADER.size
 
-#: frames larger than this split into ``_F_CHUNK`` pieces on the wire,
+#: frames larger than this split into ``F_CHUNK`` pieces on the wire,
 #: mirroring the ring's oversize protocol (there it is ``capacity //
 #: OVERSIZE_DIVISOR``; a stream has no capacity, so the bound is explicit)
 DEFAULT_MAX_FRAME_BYTES = 256 * 1024
@@ -68,7 +66,7 @@ SOCKET_FAMILIES = ("unix", "tcp")
 def new_socket_stats() -> Dict[str, int]:
     """The shared transport-accounting dict plus the socket counters.
 
-    A strict superset of :func:`shm_ring.new_stats` so every consumer of
+    A strict superset of :func:`wire.new_stats` so every consumer of
     the common keys (parity suite, benchmarks, Outcome.transport) reads
     socket runs without change; ``socket_writes`` is the net batching
     benchmark's syscall metric (one ``sendall`` per submitted item).
@@ -84,17 +82,17 @@ def encode_wire(
 ) -> bytes:
     """Encode one transport item as length-prefixed wire bytes.
 
-    Data items (``flush``/``batch``) take :func:`shm_ring.encode_item`'s
+    Data items (``flush``/``batch``) take :func:`wire.encode_item`'s
     marshal fast path; everything else — including order-insensitive
     control, which on a stream socket has no separate plane to ride —
     becomes a pickled frame, counted in ``stats`` exactly as the shm
     transport counts its pipe/control traffic.  Oversize frames are
-    split into ``_F_CHUNK`` pieces, each its own length-prefixed wire
+    split into ``F_CHUNK`` pieces, each its own length-prefixed wire
     frame, reassembled transparently by :class:`FrameReassembler`.
     """
     frame = encode_item(item, stats)
     if frame is None:
-        frame = _encode_pickled(item, stats)
+        frame = encode_pickled(item, stats)
     total = len(frame)
     if total <= max_frame_bytes:
         return _HEADER.pack(total) + frame
@@ -103,7 +101,7 @@ def encode_wire(
     view = memoryview(frame)
     for cut in range(0, total, max_frame_bytes):
         part = view[cut:cut + max_frame_bytes]
-        chunk = bytearray((_F_CHUNK, 1 if cut + max_frame_bytes >= total else 0))
+        chunk = bytearray((F_CHUNK, 1 if cut + max_frame_bytes >= total else 0))
         chunk += part
         out += _HEADER.pack(len(chunk))
         out += chunk
@@ -115,7 +113,7 @@ class FrameReassembler:
 
     Handles arbitrary read fragmentation — a frame may arrive one byte
     at a time or many frames in one ``recv`` — and reassembles
-    ``_F_CHUNK`` sequences exactly like the ring receiver does.  Feed
+    ``F_CHUNK`` sequences exactly like the ring receiver does.  Feed
     order is the stream order, so decoded items preserve the sender's
     FIFO.
     """
@@ -145,7 +143,7 @@ class FrameReassembler:
                 break  # partial frame: wait for more bytes
             frame = bytes(buf[offset + HEADER_BYTES:end])
             offset = end
-            if frame[0] == _F_CHUNK:
+            if frame[0] == F_CHUNK:
                 self._chunk_buf += frame[2:]
                 if frame[1]:  # last chunk: decode the reassembled frame
                     whole = self._chunk_buf
@@ -241,16 +239,14 @@ def connect_with_retry(
 class SocketEndpoint:
     """The worker side of the net transport, behind the endpoint interface.
 
-    The same surface :class:`~repro.dsim.shm_ring.PipeEndpoint` and
-    ``ShmEndpoint`` expose (``send``/``send_control``/``poll``/``drain``/
-    ``close``/``stats``), so the mp worker loop runs on sockets without
+    The same surface :class:`~repro.dsim.backend.PipeEndpoint` and
+    ``ShmEndpoint`` expose to the worker loop (``send``/``send_control``/
+    ``poll``/``drain``/``close``/``stats``), so it runs on sockets without
     modification.  One blocking socket carries everything: sends are
     ``sendall`` calls bounded by ``write_timeout`` (a router that stops
     draining surfaces as :class:`TransportError`, not a hang), receives
     go through ``select`` plus the incremental :class:`FrameReassembler`.
     """
-
-    name = "socket"
 
     def __init__(
         self,
@@ -265,7 +261,6 @@ class SocketEndpoint:
         self._max_frame_bytes = max_frame_bytes
         self._reassembler = FrameReassembler()
         self._eof = False
-        self.closing = False  # teardown flag (endpoint interface)
         self.stats = new_socket_stats()
 
     # -- send --------------------------------------------------------------
@@ -292,9 +287,6 @@ class SocketEndpoint:
     send_control = send
 
     # -- receive -----------------------------------------------------------
-    def data_ready(self) -> bool:
-        return False  # everything arrives via the socket: poll() covers it
-
     def poll(self, timeout: float) -> bool:
         if self._eof:
             return True  # let drain() raise the EOF
@@ -329,10 +321,6 @@ class SocketEndpoint:
             # drain() call raises with nothing lost (PipeEndpoint semantics)
             raise EOFError("transport socket closed")
         return items
-
-    def drain_data(self) -> List[Tuple]:
-        """Salvageable data after a peer death: nothing outlives a stream."""
-        return []
 
     def close(self) -> None:
         try:

@@ -17,16 +17,14 @@ pickle from the hot path entirely:
   takes a lock or makes a syscall to move data.  Writes block with
   timeout when the ring is full — that is the transport's backpressure.
 
-* a **frame codec** — the two hot item shapes (worker ``flush`` logs
-  and router ``batch`` deliveries) are flattened to builtin tuples
-  (messages become 10-field tuples, vector timestamps their entries
-  tuples) and packed at C speed in one :mod:`marshal` call; only
-  payloads that are not builtin values fall back to a pickled frame.
-  :mod:`struct` does the fixed-layout work — length prefixes, the
-  wraparound marker, seqlock cursors, spill sequence numbers — and the
-  reader decodes straight out of the shared segment via ``memoryview``
-  (no kernel copies; the common wordcount/kvstore traffic never touches
-  ``pickle`` at all).
+* the **frame codec** of :mod:`repro.dsim.wire` — the two hot item
+  shapes (worker ``flush`` logs and router ``batch`` deliveries) are
+  marshal-packed flat tuples; only payloads that are not builtin values
+  fall back to a pickled frame.  :mod:`struct` does the fixed-layout
+  work here — length prefixes, the wraparound marker, seqlock cursors —
+  and the reader decodes straight out of the shared segment via
+  ``memoryview`` (no kernel copies; the common wordcount/kvstore traffic
+  never touches ``pickle`` at all).
 
 * **control plane on the pipe** — only order-insensitive control
   traffic (probes and acks, stop, results) travels on the existing
@@ -59,18 +57,22 @@ the transport itself may opt in with a ``# facade-ok`` marker.
 from __future__ import annotations
 
 import atexit
-import marshal
 import os
 import pickle
 import struct
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import SimulationError
-
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
+from repro.dsim.wire import (
+    F_CHUNK,
+    PICKLE_PROTO,
+    TransportError,
+    decode_item,
+    encode_item,
+    new_stats,
+)
 
 #: ring geometry: two seqlock cursors a cache line apart, then the data
 _TAIL_OFFSET = 0
@@ -83,10 +85,6 @@ DEFAULT_RING_BYTES = 1 << 20
 OVERSIZE_DIVISOR = 4
 #: one-byte framed wakeup shipped on the pipe after ring writes
 _NUDGE = b"\x00"
-
-
-class TransportError(SimulationError):
-    """The shared-memory transport could not move a frame."""
 
 
 class RingBackpressureTimeout(TransportError):
@@ -419,311 +417,8 @@ class RingHandle:
 
 
 # ----------------------------------------------------------------------
-# frame codec: flattened builtins, packed at C speed
+# the endpoint: the surface the shm link and the worker loop code against
 # ----------------------------------------------------------------------
-#
-# The two hot item shapes (worker ``flush`` logs and router ``batch``
-# deliveries) are *flattened* to builtin tuples — a Message becomes a
-# 10-field tuple, a vector timestamp its entries tuple — and the whole
-# item is then packed in one :mod:`marshal` call.  ``marshal`` is
-# CPython's C serializer for builtin values: on the single-core boxes
-# this repository targets, one C call beats both ``pickle`` (which pays
-# per-instance class reduction for Message/VectorTimestamp objects) and
-# any pure-Python ``struct`` loop over payload elements.  ``struct``
-# still does the fixed-layout work — frame length prefixes, wraparound
-# markers, seqlock cursors, spill sequence numbers.  Items whose
-# payloads are not builtin (a custom class smuggled through a message)
-# fall back to one pickled frame, counted in the transport stats.
-
-class _Unencodable(Exception):
-    """Internal signal: fall back to pickle for this item."""
-
-
-def _flatten_message(message) -> Tuple:
-    # a message restored from a frame carries its original flat tuple, so
-    # the router re-ships it without paying a second flatten
-    flat = message.__dict__.get("_flat")
-    if flat is not None:
-        return flat
-    vt = message.vt
-    return (
-        message.src,
-        message.dst,
-        message.kind,
-        message.msg_id,
-        message.send_time,
-        message.lamport,
-        message.duplicate_of,
-        None if vt is None else vt.entries,
-        tuple(message.speculations) if message.speculations else (),
-        message.payload,
-    )
-
-
-_EMPTY_SPECS: frozenset = frozenset()
-# resolved lazily: clock/message import inside repro.dsim would cycle
-_MESSAGE_CLS = None
-_VT_CLS = None
-_EMPTY_VT = None
-
-
-def _resolve_classes() -> None:
-    global _MESSAGE_CLS, _VT_CLS, _EMPTY_VT
-    from repro.dsim.clock import VectorTimestamp
-    from repro.dsim.message import Message
-
-    _MESSAGE_CLS = Message
-    _VT_CLS = VectorTimestamp
-    _EMPTY_VT = VectorTimestamp()
-
-
-def _restore_message(fields: Tuple):
-    # Message is a frozen dataclass: populating __dict__ directly skips
-    # ten object.__setattr__ calls per message on the hottest decode path
-    if _MESSAGE_CLS is None:
-        _resolve_classes()
-    message = object.__new__(_MESSAGE_CLS)
-    state = message.__dict__
-    (
-        state["src"],
-        state["dst"],
-        state["kind"],
-        state["msg_id"],
-        state["send_time"],
-        state["lamport"],
-        state["duplicate_of"],
-        vt,
-        specs,
-        state["payload"],
-    ) = fields
-    if vt is None:
-        state["vt"] = _EMPTY_VT
-    else:
-        vt_obj = object.__new__(_VT_CLS)
-        vt_obj.__dict__["entries"] = vt
-        state["vt"] = vt_obj
-    state["speculations"] = frozenset(specs) if specs else _EMPTY_SPECS
-    state["_flat"] = fields
-    return message
-
-
-def _restore_vt(entries):
-    if _VT_CLS is None:
-        _resolve_classes()
-    if entries is None:
-        return None
-    vt = object.__new__(_VT_CLS)
-    vt.__dict__["entries"] = entries
-    return vt
-
-
-#: flush entry tags whose only non-builtin field is the vector timestamp,
-#: mapped to that field's position
-_VT_POSITION = {"recv": 3, "timer": 3, "violation": 4, "event": 4}
-#: entry tags that are already pure builtins
-_PLAIN_TAGS = frozenset({"brecv", "handled", "dead", "counters"})
-
-
-def _flatten_entry(entry: Tuple) -> Tuple:
-    tag = entry[0]
-    if tag in _PLAIN_TAGS:
-        return entry
-    if tag == "sent":
-        return ("sent", _flatten_message(entry[1]))
-    position = _VT_POSITION.get(tag)
-    if position is None:
-        raise _Unencodable
-    vt = entry[position]
-    if vt is not None:
-        entry = entry[:position] + (vt.entries,) + entry[position + 1:]
-    return entry
-
-
-# frame tags (first byte of every ring frame).  _F_CHUNK carries one
-# piece of an oversize frame: [tag][last? u8][part bytes] — the receiver
-# reassembles parts in order and decodes the inner frame on the last one,
-# so arbitrarily large items flow through a bounded ring without ever
-# touching the pipe, and without reordering against smaller frames.
-_F_PICKLE, _F_FLUSH, _F_BATCH, _F_CHUNK = 0, 1, 2, 3
-
-def new_stats() -> Dict[str, int]:
-    """A fresh transport-accounting dict (shared by both transports)."""
-    return {
-        "sends": 0,            # transport sends (ring frames + pipe items)
-        "ring_frames": 0,      # frames that went through the ring
-        "ring_bytes": 0,       # payload bytes written to the ring
-        "pipe_items": 0,       # items that went over the pipe
-        "oversize_frames": 0,  # data items chunked through the ring
-        "nudges": 0,           # one-byte pipe wakeups after ring writes
-        "pickled_bytes": 0,    # bytes produced by pickle on this side
-        "messages_fast": 0,    # messages shipped without touching pickle
-        "messages_pickled": 0, # messages that fell back to pickle
-    }
-
-
-#: control items whose order *relative to data frames* matters: a crash
-#: must not leapfrog the deliveries batched before it, and deliveries
-#: enqueued after a recover must not be processed while the worker still
-#: believes it is crashed.  They ride the ring (as tiny pickled frames)
-#: so the single FIFO decides; order-insensitive control (probes, stop,
-#: acks, results) stays on the pipe.
-_ORDERED_CONTROL = frozenset({"crash", "recover"})
-
-
-def encode_item(item: Tuple, stats: Dict[str, int]) -> Optional[bytearray]:
-    """Encode a data item as one ring frame; None for pipe control items.
-
-    ``flush`` and ``batch`` items flatten to builtins and marshal in one
-    C call; an item whose payloads are not marshallable falls back to a
-    single pickled frame (counted in ``stats``).  Crash/recover control
-    is encoded as a pickled frame too — it must stay ordered with the
-    data stream (see ``_ORDERED_CONTROL``).
-    """
-    tag = item[0]
-    if tag in _ORDERED_CONTROL:
-        blob = pickle.dumps(item, _PICKLE_PROTO)
-        stats["pickled_bytes"] += len(blob)
-        out = bytearray((_F_PICKLE,))
-        out += blob
-        return out
-    if tag == "flush":
-        log = item[2]
-        try:
-            blob = marshal.dumps((item[1], [_flatten_entry(entry) for entry in log]))
-        except (ValueError, _Unencodable):
-            return _encode_pickled(item, stats)
-        out = bytearray((_F_FLUSH,))
-        out += blob
-        stats["messages_fast"] += sum(1 for entry in log if entry[0] == "sent")
-        return out
-    if tag == "batch":
-        batch = item[1]
-        try:
-            blob = marshal.dumps(
-                [(tseq, _flatten_message(message)) for tseq, message in batch]
-            )
-        except ValueError:
-            return _encode_pickled(item, stats)
-        out = bytearray((_F_BATCH,))
-        out += blob
-        stats["messages_fast"] += len(batch)
-        return out
-    return None
-
-
-def _encode_pickled(item: Tuple, stats: Dict[str, int]) -> bytearray:
-    blob = pickle.dumps(item, _PICKLE_PROTO)
-    stats["pickled_bytes"] += len(blob)
-    if item[0] == "batch":
-        stats["messages_pickled"] += len(item[1])
-    elif item[0] == "flush":
-        stats["messages_pickled"] += sum(1 for entry in item[2] if entry[0] == "sent")
-    out = bytearray((_F_PICKLE,))
-    out += blob
-    return out
-
-
-def decode_item(frame) -> Tuple:
-    """Decode one ring frame (inverse of :func:`encode_item`)."""
-    tag = frame[0]
-    if tag == _F_FLUSH:
-        pid, log = marshal.loads(frame[1:])  # decodes straight from the segment
-        # entry restoration (inverse of _flatten_entry), inlined because
-        # this loop runs for every recorded action
-        restore_message = _restore_message
-        restore_vt = _restore_vt
-        plain = _PLAIN_TAGS
-        positions = _VT_POSITION
-        restored = []
-        append = restored.append
-        for entry in log:
-            entry_tag = entry[0]
-            if entry_tag in plain:
-                append(entry)
-            elif entry_tag == "sent":
-                append(("sent", restore_message(entry[1])))
-            else:
-                position = positions[entry_tag]
-                append(
-                    entry[:position]
-                    + (restore_vt(entry[position]),)
-                    + entry[position + 1:]
-                )
-        return ("flush", pid, restored)
-    if tag == _F_BATCH:
-        batch = marshal.loads(frame[1:])
-        restore_message = _restore_message
-        return ("batch", [(tseq, restore_message(fields)) for tseq, fields in batch])
-    if tag == _F_PICKLE:
-        return pickle.loads(frame[1:])
-    raise TransportError(f"corrupt frame tag {tag} in ring")
-
-
-# ----------------------------------------------------------------------
-# endpoints: the surface MPBackend codes against
-# ----------------------------------------------------------------------
-class PipeEndpoint:
-    """The batched pipe transport behind the common endpoint interface.
-
-    Functionally identical to the pre-shm transport (one pickled pipe
-    write per item), but pickling explicitly via ``send_bytes`` so both
-    transports account ``pickled_bytes`` the same way.
-    """
-
-    name = "pipe"
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.stats = new_stats()
-        self.closing = False  # teardown flag (no-op here; see ShmEndpoint)
-
-    # -- send --------------------------------------------------------------
-    def send(self, item: Tuple) -> None:
-        blob = pickle.dumps(item, _PICKLE_PROTO)
-        stats = self.stats
-        stats["sends"] += 1
-        stats["pipe_items"] += 1
-        stats["pickled_bytes"] += len(blob)
-        if item[0] == "batch":
-            stats["messages_pickled"] += len(item[1])
-        elif item[0] == "flush":
-            stats["messages_pickled"] += sum(1 for e in item[2] if e[0] == "sent")
-        self.conn.send_bytes(blob)
-
-    send_control = send
-
-    # -- receive -----------------------------------------------------------
-    def data_ready(self) -> bool:
-        return False  # everything arrives via the pipe: mp_wait covers it
-
-    def poll(self, timeout: float) -> bool:
-        return self.conn.poll(timeout)
-
-    def drain(self) -> List[Tuple]:
-        items: List[Tuple] = []
-        while self.conn.poll(0):
-            try:
-                items.append(pickle.loads(self.conn.recv_bytes()))
-            except EOFError:
-                # deliver everything read before the EOF (a worker's last
-                # result arrives exactly this way: send, close, exit) —
-                # the next drain() call raises the EOF with nothing lost
-                if items:
-                    return items
-                raise
-        return items
-
-    def drain_data(self) -> List[Tuple]:
-        """Salvageable data after a peer death: nothing outlives a pipe."""
-        return []
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
 class ShmEndpoint:
     """One side of a shared-memory link: outgoing ring + incoming ring + pipe.
 
@@ -734,8 +429,6 @@ class ShmEndpoint:
     crash/recover, stop, acks, results) and the one-byte wakeup nudges.
     """
 
-    name = "shm"
-
     def __init__(
         self,
         conn,
@@ -743,14 +436,12 @@ class ShmEndpoint:
         recv_ring: SpscRing,
         close_segments: Optional[Callable[[], None]] = None,
         write_timeout: float = 10.0,
-        abort: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.conn = conn
         self._send_ring = send_ring
         self._recv_ring = recv_ring
         self._close_segments = close_segments
         self._write_timeout = write_timeout
-        self._abort = abort
         #: teardown signal: a blocked ring write re-checks this flag and
         #: gives up immediately, so senders can always be reclaimed
         self.closing = False
@@ -768,7 +459,7 @@ class ShmEndpoint:
         # order-insensitive control only: probes, stop, acks, results —
         # tiny, bounded-rate items, so a direct blocking write is safe
         # (data and ordered control never ride the pipe on this transport)
-        blob = pickle.dumps(item, _PICKLE_PROTO)
+        blob = pickle.dumps(item, PICKLE_PROTO)
         self.stats["pipe_items"] += 1
         self.stats["pickled_bytes"] += len(blob)
         self.conn.send_bytes(blob)
@@ -797,7 +488,7 @@ class ShmEndpoint:
             pass
 
     def _aborting(self) -> bool:
-        return self.closing or (self._abort is not None and self._abort())
+        return self.closing
 
     def _write_ring(self, frame) -> None:
         if not self._send_ring.write(
@@ -834,7 +525,7 @@ class ShmEndpoint:
                 for cut in range(0, len(frame), self._oversize):
                     part = view[cut:cut + self._oversize]
                     chunk = bytearray(
-                        (_F_CHUNK, 1 if cut + self._oversize >= len(frame) else 0)
+                        (F_CHUNK, 1 if cut + self._oversize >= len(frame) else 0)
                     )
                     chunk += part
                     self._write_ring(chunk)
@@ -873,7 +564,7 @@ class ShmEndpoint:
 
     def _drain_ring(self, items: List[Tuple]) -> None:
         def on_frame(frame) -> bool:
-            if frame[0] == _F_CHUNK:
+            if frame[0] == F_CHUNK:
                 self._chunk_buf += frame[2:]
                 if frame[1]:  # last chunk: decode the reassembled frame
                     whole = self._chunk_buf

@@ -1,11 +1,14 @@
 """Benchmark smoke check, part of the default (tier-1) test run.
 
-Runs the *quick* benchmark profile in-process and feeds it through the
-same ``--check`` regression guard the CLI exposes, against the committed
-``BENCH_hotpaths.json``.  A guarded ratio regressing more than 20% (or
-a correctness gate — spilled-replay equivalence, COW restore — breaking)
-fails the default run, so perf regressions can't land silently between
-full benchmark sweeps.
+Runs the *quick* benchmark profile in-process and feeds its count and
+byte metrics through the same regression guard the CLI exposes, against
+the committed ``BENCH_hotpaths.json``.  A guarded count/byte ratio
+regressing more than 20% (or a correctness gate — spilled-replay
+equivalence, COW restore — breaking) fails the default run.  Wall-clock
+ratios are deliberately *not* asserted here: tier-1 must be
+deterministic, so they are checked by ``make bench-smoke``
+(``run_bench.py --quick --check``) and the wall numbers proper live in
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
 from run_bench import (  # noqa: E402
+    COUNT_GUARDS,
     DEFAULT_BASELINE,
     GUARDED_METRICS,
     check_against,
@@ -34,24 +38,22 @@ def quick_results():
 def test_quick_profile_within_20pct_of_committed_baseline(quick_results):
     baseline = load_baseline(DEFAULT_BASELINE)
     assert "quick" in baseline, "BENCH_hotpaths.json must carry a quick profile"
-    failures = check_against(baseline["quick"], quick_results)
+    failures = check_against(baseline["quick"], quick_results, guards=COUNT_GUARDS)
     assert not failures, "\n".join(failures)
 
 
 def test_quick_profile_meets_absolute_acceptance_gates(quick_results):
-    """Floors from the issues' acceptance criteria, with noise headroom.
+    """Floors from the issues' acceptance criteria.
 
-    ``memory_reduction`` is deterministic byte accounting, so it gets
-    the real 5x gate; ``replay_slowdown`` is a wall-clock ratio, so the
-    smoke only rejects gross breakage (3x) — the strict 2x acceptance
-    gate runs at full size in the slow-marked
-    ``benchmarks/test_perf_hotpaths.py``.
+    Only deterministic quantities: ``memory_reduction`` is byte
+    accounting and gets the real 5x gate.  The wall-clock floors
+    (``replay_slowdown``, the index ``speedup``) run at full size in the
+    slow-marked ``benchmarks/test_perf_hotpaths.py`` and, as regression
+    guards, in ``make bench-smoke``.
     """
     spill = quick_results["scroll_spill_replay"]
     assert spill["replay_equivalent"]
-    assert spill["replay_slowdown"] <= 3.0
     assert spill["memory_reduction"] >= 5.0
-    assert quick_results["scroll_per_pid_queries"]["speedup"] >= 5.0
     assert quick_results["cow_capture_dirty_pages"]["restore_ok"]
 
 

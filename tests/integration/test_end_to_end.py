@@ -261,14 +261,3 @@ class TestMultiprocessingBackend:
         # the failed validation must not poison the cluster
         cluster.set_failure_plan(FailurePlan())
         assert cluster.run(until=60).stopped_reason == "quiescent"
-
-    def test_legacy_mp_cluster_shim_still_works(self):
-        from repro.dsim.mp_backend import MPCluster  # legacy-shim-ok
-
-        legacy = MPCluster(seed=1)
-        legacy.add_process("p0", PingPong)
-        legacy.add_process("p1", PingPong)
-        result = legacy.run(duration=30.0)
-        counts = sorted(state["count"] for state in result.final_states.values())
-        assert counts == [4, 5]
-        assert result.total_messages >= 9

@@ -16,7 +16,7 @@ ring suite uses: pickle round trips of random ``flush``/``batch`` items
    with the ``oversize_frames`` counter accounting for them.
 
 3. **Endpoint pairs** — full :class:`SocketEndpoint` pairs over a real
-   ``socketpair`` against a :class:`~repro.dsim.shm_ring.PipeEndpoint`
+   ``socketpair`` against a :class:`~repro.dsim.backend.PipeEndpoint`
    oracle: identical items, identical order, and the same serialization
    accounting contract (``messages_fast`` counts, zero ``pickled_bytes``
    for marshallable traffic, zero ``nudges`` by construction).
@@ -41,7 +41,7 @@ from repro.dsim.net_transport import (  # facade-ok: the framing protocol itself
     encode_wire,
     new_socket_stats,
 )
-from repro.dsim.shm_ring import PipeEndpoint  # facade-ok: the pipe oracle
+from repro.dsim.backend import PipeEndpoint
 
 from test_shm_ring import random_item, random_message
 

@@ -19,7 +19,7 @@ style of the other property suites:
 3. **Endpoint sequences** — full :class:`~repro.dsim.shm_ring.ShmEndpoint`
    pairs over real pipes and a deliberately tiny ring, including
    oversize frames that chunk through the ring, against a
-   :class:`~repro.dsim.shm_ring.PipeEndpoint` oracle: the data items
+   :class:`~repro.dsim.backend.PipeEndpoint` oracle: the data items
    arrive equal and in identical order.
 """
 
@@ -33,10 +33,10 @@ import threading
 import pytest
 
 from repro.dsim import shm_ring  # facade-ok: the ring protocol itself is under test
+from repro.dsim.backend import PipeEndpoint
 from repro.dsim.clock import VectorTimestamp
 from repro.dsim.message import Message
 from repro.dsim.shm_ring import (  # facade-ok: the ring protocol itself is under test
-    PipeEndpoint,
     ShmEndpoint,
     SpscRing,
     TransportError,

@@ -32,7 +32,7 @@ from repro.api import (
     save_suite,
 )
 from repro.api.faults import apply_corruption_ops, spec_from_dict, spec_to_dict
-from repro.errors import AttachmentError
+from repro.errors import AttachmentError, SimulationError
 from repro.scroll.interceptor import RecordingPolicy
 
 
@@ -417,6 +417,30 @@ class TestAttachIdempotence:
         fixd.make_cluster(ClusterConfig(seed=1))
         with pytest.raises(AttachmentError):
             fixd.attach(Cluster(ClusterConfig(seed=2)))
+
+    @pytest.mark.parametrize(
+        "backend, transport, message",
+        [
+            ("net", "shm", "mp-backend knob"),
+            ("sim", "shm", "mp-backend knob"),
+            ("sim", "bogus", "unknown transport"),
+            ("mp", "bogus", "unknown transport"),
+        ],
+    )
+    def test_make_cluster_rejects_transport_the_backend_cannot_honour(
+        self, backend, transport, message
+    ):
+        # the rule Scenario enforces: transport is an mp knob — a net
+        # cluster must not silently run sockets when asked for "shm"
+        with pytest.raises(ScenarioError, match=message):
+            Scenario(app="token_ring", backend=backend, transport=transport)
+        fixd = FixD(FixDConfig(backend=backend, transport=transport))
+        with pytest.raises(SimulationError, match=message):
+            fixd.make_cluster(ClusterConfig(seed=1))
+
+    def test_make_cluster_builds_the_requested_mp_transport(self):
+        cluster = FixD(FixDConfig(backend="mp", transport="shm")).make_cluster()
+        assert cluster.backend.options.transport == "shm"
 
 
 class TestAutoCommit:
