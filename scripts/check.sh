@@ -34,20 +34,20 @@ guard() {
 
 # dsim internals: the data planes, the shared codec and the router
 guard 'repro\.dsim\.shm_ring' src/repro/dsim "$ALL" \
-    'MPBackendOptions(transport=...), FixDConfig.transport or Scenario.transport'
+    'Cluster(..., backend=MPBackend(MPBackendOptions(transport=...))) or Scenario.backend/transport'
 guard 'repro\.dsim\.net_transport' src/repro/dsim "$ALL" \
-    'Cluster(..., backend="net"), NetBackendOptions, FixDConfig.backend or Scenario.backend'
+    'Cluster(..., backend="net"), NetBackendOptions or Scenario.backend'
 guard 'repro\.dsim\.wire' src/repro/dsim "$ALL" \
     'the transport knobs (MPBackendOptions.transport, backend="net"); the codec is not a public surface'
 guard 'repro\.dsim\.router' src/repro/dsim "$ALL" \
     'Cluster(..., backend="mp"|"net") or repro.dsim.backend.MPBackend / net_backend.NetBackend'
 # Time Machine internals: blob store, scroll sidecar, background writer
 guard 'repro\.timemachine\.blobstore' src/repro/timemachine "$ALL" \
-    'the repro.timemachine re-exports, the checkpoint_store knobs or Experiment.resume'
+    'the repro.timemachine re-exports, FixDConfig.time_machine or Experiment.resume'
 guard 'repro\.timemachine\.scroll_persistence' src/repro/timemachine "$ALL" \
-    'DurableCheckpointStore.flush_scroll/rebuild_scroll, FixDConfig.scroll_flush_entries or Experiment.resume'
+    'DurableCheckpointStore.flush_scroll/rebuild_scroll, FixDConfig.time_machine or Experiment.resume'
 guard 'repro\.timemachine\.flush_pipeline' src/repro/timemachine "$ALL" \
-    'the flush_mode/flush_queue_bytes knobs or the repro.timemachine re-exports'
+    'TimeMachineConfig.flush_mode/flush_queue_bytes or the repro.timemachine re-exports'
 # fuzzing internals: only the package re-exports, Experiment.fuzz and the CLI are public
 guard 'repro\.fuzz\.(generate|coverage|corpus|shrink|driver)' src/repro/fuzz "$ALL" \
     'the repro.fuzz package re-exports, Experiment.fuzz or python -m repro.fuzz'

@@ -57,7 +57,7 @@ def run_victim(store: str, flush_mode: str = "sync") -> None:
     Scroll flushes) before the kill point have already landed on disk.
     """
     from repro.api import apps as app_registry
-    from repro.api.experiment import _fixd_config, _make_backend
+    from repro.api.experiment import _fixd_config
     from repro.core.fixd import FixD
     from repro.dsim.cluster import Cluster, ClusterConfig
     from repro.dsim.hooks import RuntimeHook
@@ -65,7 +65,7 @@ def run_victim(store: str, flush_mode: str = "sync") -> None:
     scenario = kv_scenario(store, flush_mode)
     cluster = Cluster(
         ClusterConfig(seed=scenario.seed, halt_on_violation=False),
-        backend=_make_backend(scenario),
+        backend=scenario.backend,
     )
     app_registry.build(cluster, scenario.app, **scenario.params)
     fixd = FixD(_fixd_config(scenario))

@@ -24,9 +24,11 @@ from repro.api.faults import FaultSchedule
 from repro.api.outcome import Outcome
 from repro.api.scenario import Scenario
 from repro.core.fixd import FixD, FixDConfig
+from repro.dsim.backend import make_backend
 from repro.dsim.cluster import Cluster, ClusterConfig
 from repro.errors import ScenarioError, ScenarioExecutionError
 from repro.scroll.interceptor import RecordingPolicy
+from repro.timemachine.time_machine import TimeMachineConfig
 
 
 @dataclass
@@ -58,39 +60,18 @@ def _new_run_id(scenario: Scenario) -> str:
 
 
 def _fixd_config(scenario: Scenario) -> FixDConfig:
-    policy = (
-        RecordingPolicy(hot_window=scenario.hot_window)
-        if scenario.hot_window
-        else RecordingPolicy()
-    )
     return FixDConfig(
-        backend=scenario.backend,
-        transport=scenario.transport,
-        recording_policy=policy,
+        time_machine=TimeMachineConfig(
+            checkpoint_store=scenario.checkpoint_store,
+            store_path=scenario.store_path,
+            run_id=_new_run_id(scenario),
+            flush_mode=scenario.flush_mode,
+            flush_queue_bytes=scenario.flush_queue_bytes,
+        ),
+        recording_policy=RecordingPolicy(hot_window=scenario.hot_window),
         investigate_on_fault=scenario.investigate,
         max_faults_handled=scenario.max_faults_handled,
         auto_commit_interval=scenario.auto_commit_interval,
-        checkpoint_store=scenario.checkpoint_store,
-        checkpoint_store_path=scenario.store_path,
-        run_id=_new_run_id(scenario),
-        flush_mode=scenario.flush_mode,
-        flush_queue_bytes=scenario.flush_queue_bytes,
-    )
-
-
-def _make_backend(scenario: Scenario):
-    if scenario.backend == "sim":
-        from repro.dsim.backend import SimBackend
-
-        return SimBackend()
-    if scenario.backend == "net":
-        from repro.dsim.net_backend import NetBackend, NetBackendOptions
-
-        return NetBackend(NetBackendOptions(time_scale=scenario.time_scale))
-    from repro.dsim.backend import MPBackend, MPBackendOptions
-
-    return MPBackend(
-        MPBackendOptions(time_scale=scenario.time_scale, transport=scenario.transport)
     )
 
 
@@ -105,7 +86,7 @@ def execute(scenario: Scenario, fixd_config: Optional[FixDConfig] = None) -> Sce
     check = spec.check(scenario.check)
     cluster = Cluster(
         ClusterConfig(seed=scenario.seed, halt_on_violation=False),
-        backend=_make_backend(scenario),
+        backend=make_backend(scenario.backend, scenario.transport, scenario.time_scale),
     )
     app_registry.build(cluster, scenario.app, **scenario.params)
     fixd = FixD(fixd_config or _fixd_config(scenario))
@@ -283,10 +264,10 @@ class ResumedRun:
             reset_entry_seq(int(self.sidecar.get("seq_next", 1)))
             reset_message_ids(int(self.sidecar.get("msg_id_next", 1)))
         config = _fixd_config(self.scenario)
-        config.run_id = self.run_id
+        config.time_machine.run_id = self.run_id
         if self.store_path:
-            config.checkpoint_store = "disk"
-            config.checkpoint_store_path = self.store_path
+            config.time_machine.checkpoint_store = "disk"
+            config.time_machine.store_path = self.store_path
         fixd = FixD(config, scroll=self.scroll)
         fixd.attach(cluster)
         backend = cluster.backend
@@ -373,7 +354,7 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
     manifest, checkpoints = DurableCheckpointStore.restore_line(store_path, run_id)
     cluster = Cluster(
         ClusterConfig(seed=scenario.seed, halt_on_violation=False),
-        backend=_make_backend(scenario),
+        backend=make_backend(scenario.backend, scenario.transport, scenario.time_scale),
     )
     app_registry.build(cluster, scenario.app, **scenario.params)
     cluster.start()

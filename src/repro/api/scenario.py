@@ -18,12 +18,33 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.faults import FaultSchedule
-from repro.dsim.backend import check_transport
+from repro.dsim.backend import check_time_scale, check_transport
 from repro.errors import ScenarioError
+from repro.timemachine import check_flush_mode
+from repro.timemachine.time_machine import check_checkpoint_store
 
-BACKENDS = ("sim", "mp", "net")
-CHECKPOINT_STORES = ("memory", "disk")
-FLUSH_MODES = ("sync", "pipelined")
+#: field -> (accepted types, None allowed).  A scenario is loaded from
+#: files written outside the program, so every field's type is checked
+#: at construction; fields with a value rule of their own (``backend``,
+#: ``transport``, ``time_scale``, ...) are checked by that rule instead.
+_FIELD_TYPES = {
+    "app": ((str,), False),
+    "name": ((str,), False),
+    "params": ((Mapping,), False),
+    "seed": ((int,), False),
+    "until": ((int, float), True),
+    "max_events": ((int,), True),
+    "faults": ((FaultSchedule,), False),
+    "check": ((str,), False),
+    "expect_violation": ((bool,), False),
+    "recovering": ((list, tuple), False),
+    "hot_window": ((int,), True),
+    "investigate": ((bool,), False),
+    "max_faults_handled": ((int,), False),
+    "auto_commit_interval": ((int, float), True),
+    "store_path": ((str,), True),
+    "flush_queue_bytes": ((int,), False),
+}
 
 
 @dataclass(frozen=True)
@@ -62,11 +83,13 @@ class Scenario:
         Pids that crash with a scheduled recovery and must be back
         alive at the end of the run.
     hot_window / investigate / max_faults_handled / auto_commit_interval:
-        FixD tuning: tiered-Scroll hot window, run the Investigator on
-        faults, fault-handling budget, and the periodic recovery-line
-        commit interval (Scroll segment GC).
+        FixD tuning: tiered-Scroll hot window (``None`` for an untiered
+        Scroll, otherwise at least 1), run the Investigator on faults,
+        fault-handling budget, and the periodic recovery-line commit
+        interval (Scroll segment GC).
     time_scale:
-        Wall seconds per simulated unit on the ``mp``/``net`` backends.
+        Wall seconds per simulated unit on the ``mp``/``net`` backends;
+        a positive, finite number.
     transport:
         Data plane of the ``mp`` backend: ``"pipe"`` (batched pickled
         pipe writes, the default) or ``"shm"`` (shared-memory rings, no
@@ -89,6 +112,12 @@ class Scenario:
         resume guarantees — the queue drains at every ordering-relevant
         boundary).  ``flush_queue_bytes`` bounds the queued payload
         before commits block.  Only meaningful with a ``"disk"`` store.
+
+    This is the persisted artefact format: :func:`repro.api.execute`
+    maps each value onto the one in-process config class that owns it.
+    Field types are checked at construction and the value rules are the
+    owning layers' own, raised as :class:`~repro.errors.ScenarioError`
+    — a malformed suite file fails at load, never mid-run.
     """
 
     app: str
@@ -114,41 +143,43 @@ class Scenario:
     flush_queue_bytes: int = 32 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if not self.app or not isinstance(self.app, str):
+        for name, (kinds, optional) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            # isinstance() takes a bool for an int; a flag is never a number here
+            if not isinstance(value, kinds) or (bool not in kinds and isinstance(value, bool)):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise ScenarioError(
+                    f"scenario field {name!r} must be {expected}"
+                    f"{' or None' if optional else ''}, got {value!r}"
+                )
+        if not self.app:
             raise ScenarioError(f"scenario needs an application name, got {self.app!r}")
-        if self.backend not in BACKENDS:
+        if not all(isinstance(pid, str) for pid in self.recovering):
             raise ScenarioError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+                f"scenario field 'recovering' must list pids, got {self.recovering!r}"
             )
-        if not isinstance(self.faults, FaultSchedule):
-            raise ScenarioError("scenario faults must be a FaultSchedule")
         check_transport(self.backend, self.transport, ScenarioError)
-        if self.checkpoint_store not in CHECKPOINT_STORES:
+        check_time_scale(self.time_scale, ScenarioError)
+        if self.hot_window is not None and self.hot_window < 1:
             raise ScenarioError(
-                f"unknown checkpoint_store {self.checkpoint_store!r}; "
-                f"expected one of {CHECKPOINT_STORES}"
+                f"hot_window must be at least 1 (or None for an untiered Scroll), "
+                f"got {self.hot_window!r}"
             )
-        if self.checkpoint_store == "disk":
-            if self.backend != "sim":
-                raise ScenarioError(
-                    "checkpoint_store='disk' needs the sim backend; the real-process "
-                    "backends advertise no checkpoint capability to persist"
-                )
-            if not self.store_path:
-                raise ScenarioError(
-                    "checkpoint_store='disk' requires an explicit store_path"
-                )
-        if self.flush_mode not in FLUSH_MODES:
+        check_checkpoint_store(self.checkpoint_store, self.store_path, ScenarioError)
+        if self.checkpoint_store == "disk" and self.backend != "sim":
             raise ScenarioError(
-                f"unknown flush_mode {self.flush_mode!r}; "
-                f"expected one of {FLUSH_MODES}"
+                "checkpoint_store='disk' needs the sim backend; the real-process "
+                "backends advertise no checkpoint capability to persist"
             )
+        check_flush_mode(self.flush_mode, ScenarioError)
         if self.flush_mode == "pipelined" and self.checkpoint_store != "disk":
             raise ScenarioError(
                 "flush_mode='pipelined' is a durable-store knob; it requires "
                 "checkpoint_store='disk'"
             )
-        if not isinstance(self.flush_queue_bytes, int) or self.flush_queue_bytes < 1:
+        if self.flush_queue_bytes < 1:
             raise ScenarioError(
                 f"flush_queue_bytes must be a positive int, got {self.flush_queue_bytes!r}"
             )
@@ -175,29 +206,11 @@ class Scenario:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-ready form (every field, schedule as tagged dicts)."""
-        return {
-            "app": self.app,
-            "name": self.name,
-            "params": dict(self.params),
-            "backend": self.backend,
-            "seed": self.seed,
-            "until": self.until,
-            "max_events": self.max_events,
-            "faults": self.faults.to_dicts(),
-            "check": self.check,
-            "expect_violation": self.expect_violation,
-            "recovering": list(self.recovering),
-            "hot_window": self.hot_window,
-            "investigate": self.investigate,
-            "max_faults_handled": self.max_faults_handled,
-            "auto_commit_interval": self.auto_commit_interval,
-            "time_scale": self.time_scale,
-            "transport": self.transport,
-            "checkpoint_store": self.checkpoint_store,
-            "store_path": self.store_path,
-            "flush_mode": self.flush_mode,
-            "flush_queue_bytes": self.flush_queue_bytes,
-        }
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        payload["params"] = dict(self.params)
+        payload["faults"] = self.faults.to_dicts()
+        payload["recovering"] = list(self.recovering)
+        return payload
 
     def to_json(self) -> str:
         """Byte-stable canonical JSON (sorted keys, compact separators)."""
@@ -211,9 +224,15 @@ class Scenario:
         extra = set(payload) - known
         if extra:
             raise ScenarioError(f"scenario has unknown fields: {sorted(extra)}")
+        if "app" not in payload:
+            raise ScenarioError("scenario is missing its required 'app' field")
         kwargs = dict(payload)
-        kwargs["faults"] = FaultSchedule.from_dicts(kwargs.get("faults", []))
-        kwargs["recovering"] = tuple(kwargs.get("recovering", ()))
+        faults = kwargs.get("faults", [])
+        if not isinstance(faults, list):
+            raise ScenarioError(
+                f"scenario field 'faults' must be a list of fault specs, got {faults!r}"
+            )
+        kwargs["faults"] = FaultSchedule.from_dicts(faults)
         return Scenario(**kwargs)
 
     @staticmethod

@@ -45,38 +45,40 @@ from repro.investigator.investigator import InvestigationReport, Investigator, I
 from repro.dsim.hooks import RuntimeHook
 from repro.scroll.interceptor import RecordingPolicy
 from repro.scroll.recorder import ScrollRecorder
-from repro.timemachine import DEFAULT_FLUSH_QUEUE_BYTES
 from repro.timemachine.rollback import RollbackResult
-from repro.timemachine.time_machine import CheckpointPolicy, TimeMachine, TimeMachineConfig
+from repro.timemachine.time_machine import TimeMachine, TimeMachineConfig
 
 ProcessFactory = Callable[[], Process]
 
 
+#: how many Scroll entries per process a bug report's tail carries
+SCROLL_TAIL_LENGTH = 50
+
+#: With a ``"disk"`` store, the auto-committer flushes the Scroll tail to
+#: a durable segment once this many recorded entries await durability —
+#: segment-granularity incremental flushing between line commits
+#: (commits always flush regardless).  The flush rides the committer's
+#: ``after_handler``, so it is active whenever ``auto_commit_interval``
+#: is set.
+SCROLL_FLUSH_ENTRIES = 256
+
+
 @dataclass
 class FixDConfig:
-    """Behaviour of the FixD controller."""
+    """Behaviour of the FixD controller.
 
-    #: which execution substrate :meth:`FixD.make_cluster` builds:
-    #: ``"sim"`` (deterministic simulator, full pipeline), ``"mp"``
-    #: (real OS processes over pipes/shm rings) or ``"net"`` (real OS
-    #: processes over sharded socket routers).  On ``mp``/``net`` FixD
-    #: degrades to detection + reporting because those backends
-    #: advertise no checkpoint/rollback capability.
-    backend: str = "sim"
-    #: data plane of the ``mp`` backend: ``"pipe"`` (batched pickled
-    #: pipe writes) or ``"shm"`` (shared-memory rings; the hot path
-    #: never touches pickle).  Must stay ``"pipe"`` on ``sim`` and ``net``
-    #: (:meth:`FixD.make_cluster` rejects anything else, as ``Scenario`` does).
-    transport: str = "pipe"
-    checkpoint_policy: CheckpointPolicy = CheckpointPolicy.COMMUNICATION_INDUCED
-    periodic_checkpoint_interval: int = 10
+    Each layer's knobs live on that layer's own config, nested here:
+    checkpoint policy and the durable store on ``time_machine``, Scroll
+    tiering on ``recording_policy``, search limits on ``investigator``.
+    The backend is the cluster's (``Cluster(config, backend=...)``).
+    """
+
+    time_machine: TimeMachineConfig = field(default_factory=TimeMachineConfig)
     recording_policy: RecordingPolicy = field(default_factory=RecordingPolicy)
     investigator: InvestigatorConfig = field(default_factory=InvestigatorConfig)
     investigate_on_fault: bool = True
-    auto_rollback: bool = True
     heal_strategy: RecoveryStrategy = RecoveryStrategy.RESUME_FROM_CHECKPOINT
     max_faults_handled: int = 10
-    scroll_tail_length: int = 50
     #: After a rollback (and once the bug report's Scroll tail is safely
     #: assembled), truncate the Scroll — both the hot tier and the
     #: spilled segments — to the recovery line's recorded log position,
@@ -91,39 +93,6 @@ class FixDConfig:
     #: default) keeps the whole log.  Committing is a promise: later
     #: rollbacks cannot reach past a committed line.
     auto_commit_interval: Optional[float] = None
-    #: where committed recovery lines live: ``"memory"`` (in-process
-    #: only; a crashed experiment loses them) or ``"disk"`` (every
-    #: committed line is also flushed to a durable content-addressed
-    #: blob store that ``Experiment.resume`` can rebuild a cluster from).
-    checkpoint_store: str = "memory"
-    #: root directory of the durable store; required for ``"disk"``.
-    checkpoint_store_path: Optional[str] = None
-    #: manifests of this run are scoped under ``runs/<run_id>/``.
-    run_id: str = "run"
-    #: keep only the newest N committed lines on disk (None keeps all).
-    durable_keep_lines: Optional[int] = None
-    #: with a ``"disk"`` store, flush the Scroll tail to a durable
-    #: segment once this many recorded entries await durability —
-    #: segment-granularity incremental flushing between line commits
-    #: (commits always flush regardless).  The flush rides the
-    #: auto-committer's ``after_handler``, so it is active whenever
-    #: ``auto_commit_interval`` is set.  ``0`` disables the incremental
-    #: path (the Scroll still flushes on every commit).
-    scroll_flush_entries: int = 256
-    #: state containers with at least this many elements are captured
-    #: per chunk by the COW store (None disables delta chunking).
-    cow_chunk_threshold: Optional[int] = 256
-    #: target element count per chunk / hash bucket.
-    cow_chunk_elems: int = 32
-    #: with a ``"disk"`` store, how committed lines reach the blob store:
-    #: ``"sync"`` writes blobs and manifests inline on the commit path;
-    #: ``"pipelined"`` snapshots the payload at commit time and moves all
-    #: blob IO and fsyncs to a bounded background writer (drained at
-    #: rollback, rotation/GC, run end and stats reads, so the crash-window
-    #: invariant and resume semantics are unchanged).
-    flush_mode: str = "sync"
-    #: pipelined mode: queued payload bytes before commits block.
-    flush_queue_bytes: int = DEFAULT_FLUSH_QUEUE_BYTES
 
 
 @dataclass
@@ -156,27 +125,20 @@ class PeriodicLineCommitter(RuntimeHook):
     committed line is a hard floor for future rollbacks.
     """
 
-    def __init__(
-        self,
-        time_machine: TimeMachine,
-        interval: float,
-        scroll_flush_entries: int = 0,
-    ) -> None:
+    def __init__(self, time_machine: TimeMachine, interval: float) -> None:
         if interval <= 0:
             raise ValueError("auto_commit_interval must be positive")
         self._time_machine = time_machine
         self.interval = interval
-        self.scroll_flush_entries = scroll_flush_entries
+        self._flush_scroll = time_machine.durable_store is not None
         self._last_attempt = 0.0
         self.commits = 0
         self.entries_collected = 0
 
     def after_handler(self, pid: str, description: str, time: float) -> None:
-        if self.scroll_flush_entries:
+        if self._flush_scroll:
             # segment-granularity incremental durability between commits
-            self._time_machine.rollback_manager.maybe_flush_scroll(
-                self.scroll_flush_entries
-            )
+            self._time_machine.rollback_manager.maybe_flush_scroll(SCROLL_FLUSH_ENTRIES)
         if time - self._last_attempt < self.interval:
             return
         self._last_attempt = time
@@ -218,20 +180,7 @@ class FixD:
         # tiered (spill-to-disk) when the policy sets a hot_window.
         self.recorder = ScrollRecorder(scroll=scroll, policy=self.config.recording_policy)
         self.scroll = self.recorder.scroll
-        self.time_machine = TimeMachine(
-            TimeMachineConfig(
-                policy=self.config.checkpoint_policy,
-                periodic_interval=self.config.periodic_checkpoint_interval,
-                chunk_threshold=self.config.cow_chunk_threshold,
-                chunk_elems=self.config.cow_chunk_elems,
-                checkpoint_store=self.config.checkpoint_store,
-                store_path=self.config.checkpoint_store_path,
-                run_id=self.config.run_id,
-                durable_keep_lines=self.config.durable_keep_lines,
-                flush_mode=self.config.flush_mode,
-                flush_queue_bytes=self.config.flush_queue_bytes,
-            )
-        )
+        self.time_machine = TimeMachine(self.config.time_machine)
         self.detector = FaultDetector()
         self.investigator = Investigator(self.config.investigator)
         self.reports: List[FixDReport] = []
@@ -251,25 +200,6 @@ class FixD:
     def _backend_capabilities(cluster) -> frozenset:
         backend = getattr(cluster, "backend", None)
         return getattr(backend, "capabilities", frozenset())
-
-    def make_cluster(self, cluster_config=None):
-        """Build a cluster on the configured backend with FixD attached.
-
-        The one-call entry point for "run this application under FixD on
-        substrate X": ``FixD(FixDConfig(backend="mp")).make_cluster()``
-        yields a real-process cluster with recording and detection wired
-        up; the default yields the fully recoverable simulator.
-        """
-        from repro.dsim.backend import MPBackend, check_transport
-        from repro.dsim.cluster import Cluster
-
-        backend = self.config.backend
-        check_transport(backend, self.config.transport)
-        if backend == "mp":
-            backend = MPBackend(transport=self.config.transport)
-        cluster = Cluster(cluster_config, backend=backend)
-        self.attach(cluster)
-        return cluster
 
     def attach(self, cluster) -> "FixD":
         """Install the Scroll recorder, Time Machine, and fault detector on a cluster.
@@ -291,7 +221,7 @@ class FixD:
             raise AttachmentError(
                 "this FixD instance is already attached to a cluster; re-attaching "
                 "would duplicate its recorder/detector hooks and fault responders. "
-                "Create a new FixD (or use FixD.make_cluster exactly once) per run."
+                "Create a new FixD per run."
             )
         self._cluster = cluster
         capabilities = self._backend_capabilities(cluster)
@@ -302,13 +232,7 @@ class FixD:
             self._healer = Healer(cluster, self.time_machine)
             if self.config.auto_commit_interval is not None:
                 self.auto_committer = PeriodicLineCommitter(
-                    self.time_machine,
-                    self.config.auto_commit_interval,
-                    scroll_flush_entries=(
-                        self.config.scroll_flush_entries
-                        if self.config.checkpoint_store == "disk"
-                        else 0
-                    ),
+                    self.time_machine, self.config.auto_commit_interval
                 )
                 cluster.add_hook(self.auto_committer)
         self.detector.add_responder(self._respond_to_fault)
@@ -370,15 +294,13 @@ class FixD:
             f"{len(protocol_run.in_flight)} message(s) in flight at the line",
         )
 
-        rollback: Optional[RollbackResult] = None
-        if self.config.auto_rollback:
-            rollback = self.time_machine.rollback_to(protocol_run.recovery_line)
-            timeline.add(
-                self._cluster.now,
-                "rollback",
-                f"rolled back {len(rollback.restored_pids)} processes "
-                f"(max distance {rollback.max_rollback_distance:.3f})",
-            )
+        rollback = self.time_machine.rollback_to(protocol_run.recovery_line)
+        timeline.add(
+            self._cluster.now,
+            "rollback",
+            f"rolled back {len(rollback.restored_pids)} processes "
+            f"(max distance {rollback.max_rollback_distance:.3f})",
+        )
 
         investigation: Optional[InvestigationReport] = None
         if self.config.investigate_on_fault:
@@ -397,7 +319,7 @@ class FixD:
         bug_report = BugReport(
             fault=fault,
             scroll_tail=BugReport.build_scroll_tail(
-                self.scroll, self._cluster.pids, self.config.scroll_tail_length
+                self.scroll, self._cluster.pids, SCROLL_TAIL_LENGTH
             ),
             investigation=investigation,
             timeline=timeline,
@@ -414,7 +336,7 @@ class FixD:
             heal_report = self._healer.heal(
                 patch,
                 strategy=self.config.heal_strategy,
-                recovery_line=protocol_run.recovery_line if self.config.auto_rollback else None,
+                recovery_line=protocol_run.recovery_line,
             )
             bug_report.healed = heal_report.succeeded
             timeline.add(
@@ -426,7 +348,7 @@ class FixD:
 
         # Truncation happens last: the bug report above needs the Scroll
         # tail that led to the fault, which truncation discards.
-        if rollback is not None and self.config.truncate_scroll_on_rollback:
+        if self.config.truncate_scroll_on_rollback:
             truncated = self.time_machine.rollback_manager.truncate_scroll_to(
                 protocol_run.recovery_line
             )
@@ -437,7 +359,6 @@ class FixD:
                 f"discarded {truncated} Scroll entries past the recovery line",
             )
 
-        handled = bool(self.config.auto_rollback or (heal_report and heal_report.succeeded))
         report = FixDReport(
             fault=fault,
             bug_report=bug_report,
@@ -445,10 +366,10 @@ class FixD:
             rollback=rollback,
             investigation=investigation,
             heal=heal_report,
-            handled=handled,
+            handled=True,
         )
         self.reports.append(report)
-        return handled
+        return True
 
     def _report_without_recovery(self, fault: FaultEvent) -> bool:
         """Detection + reporting on substrates without checkpoint/rollback.
@@ -465,7 +386,7 @@ class FixD:
         bug_report = BugReport(
             fault=fault,
             scroll_tail=BugReport.build_scroll_tail(
-                self.scroll, self._cluster.pids, self.config.scroll_tail_length
+                self.scroll, self._cluster.pids, SCROLL_TAIL_LENGTH
             ),
             timeline=timeline,
             notes=[

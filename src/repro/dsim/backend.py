@@ -45,7 +45,7 @@ import pickle
 import queue as queue_module
 import threading
 import time as wall_time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,21 +56,33 @@ from repro.dsim.message import Message
 from repro.dsim.network import Network
 from repro.dsim.process import ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed
-from repro.dsim.router import Router, RouterOptions, reap_workers, worker_loop
+from repro.dsim.router import (
+    Router,
+    RouterOptions,
+    check_time_scale,  # re-exported: Scenario may not import the dsim-internal router
+    reap_workers,
+    resolved_start_method,
+    worker_loop,
+)
 from repro.dsim.scheduler import Event, EventKind, Scheduler
 from repro.dsim.wire import PICKLE_PROTO, TransportError, new_stats
 from repro.errors import SimulationError
+
+#: Backends :func:`make_backend` can build by name.
+BACKENDS = ("sim", "mp", "net")
 
 #: Transports the multiprocessing backend can run on.
 TRANSPORTS = ("pipe", "shm")
 
 
 def check_transport(backend: str, transport: str, error=SimulationError) -> None:
-    """Reject a ``transport`` the named backend cannot honour.
+    """Reject an unknown ``backend``, or a ``transport`` it cannot honour.
 
-    The one copy of the rule ``Scenario`` and ``FixDConfig`` both apply;
-    raises ``error``.
+    The one copy of the rule ``Scenario`` and :func:`make_backend` both
+    apply; raises ``error``.
     """
+    if backend not in BACKENDS:
+        raise error(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if transport not in TRANSPORTS:
         raise error(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
     if backend != "mp" and transport != "pipe":
@@ -540,8 +552,8 @@ class MPBackendOptions(RouterOptions):
     """Tuning knobs of the multiprocessing substrate.
 
     The shared knobs (``time_scale``, ``flush_watermark``,
-    ``batch_deliveries``, ``max_batch_messages``, ``max_wall_seconds``)
-    are documented on :class:`~repro.dsim.router.RouterOptions`.
+    ``batch_deliveries``, ``max_batch_messages``) are documented on
+    :class:`~repro.dsim.router.RouterOptions`.
 
     Attributes
     ----------
@@ -553,24 +565,11 @@ class MPBackendOptions(RouterOptions):
         entirely — the pipe is then reserved for control traffic and
         oversize frames.  Both transports preserve per-sender FIFO
         order, vector timestamps, the ordered single-log flush
-        protocol, and probe-based quiescence.
-    ring_bytes:
-        Per-direction ring capacity of the shm transport.  Frames
-        larger than a quarter of this spill to the pipe (behind an
-        in-ring ordering marker).
-    ring_write_timeout:
-        How long a full ring blocks a writer (backpressure) before the
-        frame is treated as undeliverable.
-    start_method:
-        ``multiprocessing`` start method; ``None`` picks ``fork`` on
-        Linux and ``spawn`` elsewhere (see
-        :meth:`~repro.dsim.router.RouterOptions.resolved_start_method`).
+        protocol, and probe-based quiescence.  Ring capacity and the
+        backpressure timeout are :mod:`~repro.dsim.shm_ring`'s defaults.
     """
 
     transport: str = "pipe"
-    ring_bytes: int = shm_ring.DEFAULT_RING_BYTES
-    ring_write_timeout: float = 10.0
-    start_method: Optional[str] = None
 
 
 class PipeEndpoint:
@@ -643,11 +642,7 @@ def _mp_worker_main(conn, ring_handle, options: MPBackendOptions, worker_args: T
     else:
         down_ring, up_ring, close_segments = ring_handle.attach()
         endpoint = shm_ring.ShmEndpoint(
-            conn,
-            send_ring=up_ring,
-            recv_ring=down_ring,
-            close_segments=close_segments,
-            write_timeout=options.ring_write_timeout,
+            conn, send_ring=up_ring, recv_ring=down_ring, close_segments=close_segments
         )
     try:
         worker_loop(endpoint, options, *worker_args)
@@ -768,12 +763,12 @@ class _WorkerLinks:
         self._deliver = deliver
         options = self.options
         use_shm = options.transport == "shm"
-        ctx = mp.get_context(options.resolved_start_method())
+        ctx = mp.get_context(resolved_start_method())
         for pid, worker_args in spawn.items():
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             ring_handle = None
             if use_shm:
-                pair = shm_ring.RingPair(options.ring_bytes)
+                pair = shm_ring.RingPair()
                 self._ring_pairs.append(pair)
                 self.segment_names.extend(pair.segment_names)
                 ring_handle = pair.child_handle()
@@ -787,10 +782,7 @@ class _WorkerLinks:
             child_conn.close()
             if use_shm:
                 endpoint = shm_ring.ShmEndpoint(
-                    parent_conn,
-                    send_ring=pair.down_ring,
-                    recv_ring=pair.up_ring,
-                    write_timeout=options.ring_write_timeout,
+                    parent_conn, send_ring=pair.down_ring, recv_ring=pair.up_ring
                 )
             else:
                 endpoint = PipeEndpoint(parent_conn)
@@ -899,19 +891,9 @@ class MPBackend(RoutedBackend):
 
     name = "mp"
 
-    def __init__(
-        self,
-        options: Optional[MPBackendOptions] = None,
-        transport: Optional[str] = None,
-    ) -> None:
+    def __init__(self, options: Optional[MPBackendOptions] = None) -> None:
         super().__init__(options or MPBackendOptions())
-        if transport is not None:
-            self.options = dataclass_replace(self.options, transport=transport)
-        if self.options.transport not in TRANSPORTS:
-            raise SimulationError(
-                f"unknown mp transport {self.options.transport!r}; "
-                f"expected one of {TRANSPORTS}"
-            )
+        check_transport(self.name, self.options.transport)
         #: shared-memory segment names of the last run (teardown tests)
         self.shm_segments: List[str] = []
 
@@ -921,3 +903,22 @@ class MPBackend(RoutedBackend):
             return self._run_router(links, until, max_events)
         finally:
             self.shm_segments = links.segment_names
+
+
+def make_backend(
+    name: str, transport: str = "pipe", time_scale: float = RouterOptions.time_scale
+) -> Backend:
+    """Build the backend called ``name`` — the one name → instance mapping.
+
+    ``Cluster(config, backend="mp")`` and ``Scenario(backend=...,
+    transport=..., time_scale=...)`` both resolve here; the simulator
+    has no wall clock and ignores ``time_scale``.
+    """
+    check_transport(name, transport)
+    if name == "sim":
+        return SimBackend()
+    if name == "mp":
+        return MPBackend(MPBackendOptions(time_scale=time_scale, transport=transport))
+    from repro.dsim.net_backend import NetBackend, NetBackendOptions  # imports this module
+
+    return NetBackend(NetBackendOptions(time_scale=time_scale))

@@ -118,26 +118,6 @@ class RunResult:
         return [v for v in self.violations if v.pid == pid]
 
 
-def _resolve_backend(spec):
-    """Turn a backend spec (None, "sim", "mp", "net", or an instance) into a Backend."""
-    # Imported lazily: backend.py needs this module's dataclasses.
-    from repro.dsim.backend import Backend, MPBackend, SimBackend
-
-    if spec is None or spec == "sim":
-        return SimBackend()
-    if spec == "mp":
-        return MPBackend()
-    if spec == "net":
-        from repro.dsim.net_backend import NetBackend
-
-        return NetBackend()
-    if isinstance(spec, Backend):
-        return spec
-    raise SimulationError(
-        f"unknown backend {spec!r}; expected 'sim', 'mp', 'net' or a Backend instance"
-    )
-
-
 class Cluster:
     """A cluster of communicating processes over a pluggable backend."""
 
@@ -157,7 +137,13 @@ class Cluster:
         self._halt_reason = ""
         self._started = False
         self._scroll = None
-        self.backend = _resolve_backend(backend)
+        # Imported lazily: backend.py needs this module's dataclasses.
+        from repro.dsim.backend import Backend, make_backend
+
+        if backend is None:
+            backend = "sim"
+        #: a ready instance, or built from its name by the one factory
+        self.backend = backend if isinstance(backend, Backend) else make_backend(backend)
         self.backend.bind(self)
         #: computed once: whether the frontend instances carry live state
         #: (checked on every process() call — the simulator's hot path)

@@ -43,8 +43,8 @@ are those of :class:`~repro.dsim.backend.MPBackend` by construction;
 this module only contributes the link set (:class:`_ShardLinks`).
 
 This module is dsim-internal; construct it via ``backend="net"`` on a
-:class:`~repro.api.scenario.Scenario`, ``FixDConfig`` or ``Cluster``
-(or pass a ``NetBackend`` instance for custom options).
+:class:`~repro.api.scenario.Scenario` or ``Cluster`` (or pass a
+``NetBackend`` instance for custom options).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dsim import net_transport
 from repro.dsim.backend import RoutedBackend
-from repro.dsim.router import RouterOptions, reap_workers, worker_loop
+from repro.dsim.router import RouterOptions, reap_workers, resolved_start_method, worker_loop
 from repro.errors import SimulationError
 
 SOCKET_FAMILIES = net_transport.SOCKET_FAMILIES
@@ -76,13 +76,14 @@ class NetBackendOptions(RouterOptions):
     """Tuning knobs of the socket substrate.
 
     The shared knobs (``time_scale``, ``flush_watermark``,
-    ``batch_deliveries``, ``max_batch_messages``, ``max_wall_seconds``)
-    are documented on :class:`~repro.dsim.router.RouterOptions` — the
-    worker loop and the batching watermarks are shared, so a plan
-    written for the mp backend injects at the equivalent wall moment
-    here.  ``flush_watermark=1`` plus ``batch_deliveries=False``
-    degenerates to one socket write per message, kept reachable as the
-    net batching benchmark's baseline.
+    ``batch_deliveries``, ``max_batch_messages``) are documented on
+    :class:`~repro.dsim.router.RouterOptions` — the worker loop and the
+    batching watermarks are shared, so a plan written for the mp backend
+    injects at the equivalent wall moment here.  ``flush_watermark=1``
+    plus ``batch_deliveries=False`` degenerates to one socket write per
+    message, kept reachable as the net batching benchmark's baseline.
+    Frame chunking and the worker connect/retry handshake run on
+    :mod:`~repro.dsim.net_transport`'s defaults.
 
     Attributes
     ----------
@@ -94,15 +95,6 @@ class NetBackendOptions(RouterOptions):
         ``"unix"`` (default: Unix-domain sockets under a per-run temp
         directory, unlinked at teardown) or ``"tcp"`` (ephemeral
         loopback ports).
-    max_frame_bytes:
-        Wire frames larger than this split into bounded chunks
-        (:mod:`repro.dsim.net_transport`), so a receiver's reassembly
-        buffer is bounded per frame regardless of payload size.
-    connect_timeout / connect_retries / connect_backoff:
-        Worker-side connect behaviour: each attempt waits
-        ``connect_timeout``; failures retry with exponential backoff
-        (``connect_backoff * 2**n``, capped at 1s) up to
-        ``connect_retries`` times.
     write_timeout:
         Bound on any single socket write, both directions.  A worker
         that stops draining its socket for this long halts the run as
@@ -111,20 +103,12 @@ class NetBackendOptions(RouterOptions):
         Optional ``SO_SNDBUF``/``SO_RCVBUF`` override.  Production runs
         leave the OS default; the stalled-writer regression test shrinks
         it so a stall is provokable without megabytes of backlog.
-    start_method:
-        ``multiprocessing`` start method; same default policy as the mp
-        backend (``fork`` on Linux, ``spawn`` elsewhere).
     """
 
     shards: int = 2
     family: str = "unix"
-    max_frame_bytes: int = net_transport.DEFAULT_MAX_FRAME_BYTES
-    connect_timeout: float = 5.0
-    connect_retries: int = 20
-    connect_backoff: float = 0.05
     write_timeout: float = 10.0
     socket_buffer_bytes: Optional[int] = None
-    start_method: Optional[str] = None
 
 
 def _stable_hash(token: str) -> int:
@@ -166,20 +150,11 @@ def _net_worker_main(address, options: NetBackendOptions, worker_args: Tuple) ->
     """
     try:
         sock = net_transport.connect_with_retry(
-            address,
-            options.family,
-            connect_timeout=options.connect_timeout,
-            retries=options.connect_retries,
-            backoff=options.connect_backoff,
-            buffer_bytes=options.socket_buffer_bytes,
+            address, options.family, buffer_bytes=options.socket_buffer_bytes
         )
     except net_transport.TransportError:
         return  # router never came up: nothing to report to
-    endpoint = net_transport.SocketEndpoint(
-        sock,
-        write_timeout=options.write_timeout,
-        max_frame_bytes=options.max_frame_bytes,
-    )
+    endpoint = net_transport.SocketEndpoint(sock, write_timeout=options.write_timeout)
     try:
         # the hello maps this connection to its pid on the shard; it must
         # be first on the stream, before any flush
@@ -367,9 +342,7 @@ class ShardRouter:
             pass  # loop closed (teardown): the worker is gone anyway
 
     def _submit_local(self, pid: str, item: Tuple) -> None:
-        wire = net_transport.encode_wire(
-            item, self.stats, self.options.max_frame_bytes
-        )
+        wire = net_transport.encode_wire(item, self.stats)
         conn = self._conns.get(pid)
         if conn is None:
             self._pre_connect.setdefault(pid, []).append(wire)
@@ -457,7 +430,7 @@ class _ShardLinks:
             )
         self.socket_paths = [s.socket_path for s in self._shards if s.socket_path]
         # 2. workers
-        ctx = mp.get_context(options.resolved_start_method())
+        ctx = mp.get_context(resolved_start_method())
         for pid, worker_args in spawn.items():
             address = self._shards[self.placement[pid]].address
             worker = ctx.Process(

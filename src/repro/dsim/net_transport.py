@@ -28,8 +28,8 @@ Two differences from the ring transport, both simplifications:
   directly, so ``stats["nudges"]`` stays 0 by construction.
 
 This module is dsim-internal (enforced by ``scripts/check.sh``): the
-public way to run on sockets is ``backend="net"`` on a Scenario,
-``FixDConfig`` or ``Cluster``.
+public way to run on sockets is ``backend="net"`` on a Scenario or
+``Cluster``.
 """
 
 from __future__ import annotations

@@ -52,6 +52,24 @@ from repro.dsim.wire import TransportError
 from repro.errors import InvariantViolation, SimulationError, UnknownProcessError
 
 
+#: Hard wall-clock cap on a run, protecting the test suite from a
+#: quiescence-detection bug or a livelocked application.
+MAX_WALL_SECONDS = 30.0
+
+
+def check_time_scale(time_scale, error=SimulationError) -> None:
+    """Reject a ``time_scale`` that is not a positive number — the one
+    rule ``Scenario`` and :class:`RouterOptions` both apply.  Zero
+    divides the router's clock; a negative scale makes the wall limit
+    negative, so the run "times out" having executed nothing."""
+    is_number = isinstance(time_scale, (int, float)) and not isinstance(time_scale, bool)
+    if not is_number or not 0 < time_scale < float("inf"):  # NaN fails both bounds
+        raise error(
+            "time_scale must be a positive, finite number of wall seconds "
+            f"per simulated unit, got {time_scale!r}"
+        )
+
+
 @dataclass
 class RouterOptions:
     """The knobs every real-process substrate shares.
@@ -78,35 +96,32 @@ class RouterOptions:
         bursts are split so a single write stays well under the OS pipe
         buffer (both sides always drain eagerly, this is the
         belt-and-braces bound).
-    max_wall_seconds:
-        Hard wall-clock cap on a run, protecting the test suite from a
-        quiescence-detection bug or a livelocked application.
-
-    Subclasses add their link's knobs and end with ``start_method`` (the
-    ``multiprocessing`` start method), so the field order callers see is
-    the one each options class has always had.
     """
 
     time_scale: float = 0.02
     flush_watermark: int = 64
     batch_deliveries: bool = True
     max_batch_messages: int = 128
-    max_wall_seconds: float = 30.0
 
-    def resolved_start_method(self) -> str:
-        """``fork`` on Linux (cheap worker startup, no pickling of
-        factories) and ``spawn`` everywhere else — including macOS,
-        where CPython deliberately stopped defaulting to fork (unsafe
-        under ObjC/CoreFoundation).  Under ``spawn``, configure processes
-        via picklable factories that set *instance* attributes
-        (:class:`repro.dsim.process.ConfiguredFactory`, which the demo
-        app builders use) — mutating class attributes in the parent does
-        not cross the spawn boundary."""
-        if self.start_method:
-            return self.start_method
-        if sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods():
-            return "fork"
-        return "spawn"
+    def __post_init__(self) -> None:
+        check_time_scale(self.time_scale)
+
+
+def resolved_start_method() -> str:
+    """The ``multiprocessing`` start method workers are created with.
+
+    ``fork`` on Linux (cheap worker startup, no pickling of factories)
+    and ``spawn`` everywhere else — including macOS, where CPython
+    deliberately stopped defaulting to fork (unsafe under
+    ObjC/CoreFoundation).  Under ``spawn``, configure processes via
+    picklable factories that set *instance* attributes
+    (:class:`repro.dsim.process.ConfiguredFactory`, which the demo app
+    builders use) — mutating class attributes in the parent does not
+    cross the spawn boundary.
+    """
+    if sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods():
+        return "fork"
+    return "spawn"
 
 
 def reap_workers(workers) -> None:
@@ -482,7 +497,7 @@ class Router:
         self.partitions = [p.to_partition() for p in plan.partitions]
 
         sim_limit = min(until if until is not None else config.max_time, config.max_time)
-        self.wall_limit = min(sim_limit * scale, self.options.max_wall_seconds)
+        self.wall_limit = min(sim_limit * scale, MAX_WALL_SECONDS)
 
         order = 0
         for crash in plan.crashes:

@@ -80,6 +80,7 @@ _HEAD_OFFSET = 64
 _DATA_OFFSET = 128
 _WRAP = 0xFFFFFFFF  # length sentinel: "rest of the ring is padding"
 
+#: per-direction ring capacity
 DEFAULT_RING_BYTES = 1 << 20
 #: frames larger than capacity // OVERSIZE_DIVISOR spill to the pipe
 OVERSIZE_DIVISOR = 4
@@ -427,6 +428,8 @@ class ShmEndpoint:
     reassembles in place, so *all* data takes the one ordered ring FIFO.
     The pipe carries only tiny, bounded control traffic (probes,
     crash/recover, stop, acks, results) and the one-byte wakeup nudges.
+    ``write_timeout`` is how long a full ring blocks a writer
+    (backpressure) before the frame is treated as undeliverable.
     """
 
     def __init__(

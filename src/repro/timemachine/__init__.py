@@ -27,6 +27,7 @@ from repro.timemachine.blobstore import (  # facade-ok
     BlobStore,
     DurableCheckpointStore,
     IntegrityReport,
+    check_flush_mode,
 )
 from repro.timemachine.checkpoint import CheckpointStore, GlobalCheckpoint, LocalCheckpointLog
 from repro.timemachine.comm_induced import CommunicationInducedCheckpointing, PeriodicCheckpointing
@@ -45,6 +46,7 @@ __all__ = [
     "BlobStore",
     "DurableCheckpointStore",
     "IntegrityReport",
+    "check_flush_mode",
     "CheckpointStore",
     "GlobalCheckpoint",
     "LocalCheckpointLog",

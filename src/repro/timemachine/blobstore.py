@@ -88,7 +88,17 @@ MANIFEST_SCHEMA = 2
 #: another process may have written them for a manifest it has not landed yet
 GC_GRACE_SECONDS = 60.0
 
+#: How committed lines reach the blob store.
+FLUSH_MODES = ("sync", "pipelined")
+
 _JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def check_flush_mode(flush_mode: str, error=CheckpointError) -> None:
+    """Reject an unknown ``flush_mode``; the one copy of the rule
+    ``Scenario`` and :class:`DurableCheckpointStore` both apply."""
+    if flush_mode not in FLUSH_MODES:
+        raise error(f"unknown flush_mode {flush_mode!r}; expected one of {FLUSH_MODES}")
 
 
 def _json_safe(mapping: Dict[str, Any]) -> Dict[str, Any]:
@@ -371,10 +381,7 @@ class DurableCheckpointStore:
             )
         if keep_lines is not None and keep_lines < 1:
             raise CheckpointError("keep_lines must be at least 1 (or None to keep all)")
-        if flush_mode not in ("sync", "pipelined"):
-            raise CheckpointError(
-                f"flush_mode must be 'sync' or 'pipelined', not {flush_mode!r}"
-            )
+        check_flush_mode(flush_mode)
         self.root = Path(root)
         self.run_id = run_id
         self.blobs = BlobStore(self.root)
@@ -398,8 +405,6 @@ class DurableCheckpointStore:
         #: flush time (what the zero-re-pickle path keeps near zero)
         self.commit_pickled_bytes = 0
         self.commit_hashed_bytes = 0
-        self.flush_mode = flush_mode
-        self.flush_queue_bytes = flush_queue_bytes
         #: background writer in pipelined mode; None means fully synchronous
         self.pipeline: Optional[FlushPipeline] = (
             FlushPipeline(flush_queue_bytes, name=run_id)

@@ -154,14 +154,13 @@ class GlobalCheckpoint:
 class CheckpointStore:
     """All local checkpoint logs of a running system, keyed by process id."""
 
-    def __init__(self, capacity_per_process: Optional[int] = None) -> None:
-        self.capacity_per_process = capacity_per_process
+    def __init__(self) -> None:
         self._logs: Dict[str, LocalCheckpointLog] = {}
 
     def log_for(self, pid: str) -> LocalCheckpointLog:
         """The checkpoint log of ``pid`` (created on first use)."""
         if pid not in self._logs:
-            self._logs[pid] = LocalCheckpointLog(pid, self.capacity_per_process)
+            self._logs[pid] = LocalCheckpointLog(pid)
         return self._logs[pid]
 
     def add(self, checkpoint: ProcessCheckpoint) -> ProcessCheckpoint:

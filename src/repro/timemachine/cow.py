@@ -71,6 +71,10 @@ from repro.errors import CheckpointError
 
 DEFAULT_PAGE_SIZE = 1024
 
+# The Time Machine builds this store and the durable blob store with the
+# two layout defaults below; the constructor arguments are for tests and
+# benchmarks exercising small chunks or the unchunked oracle.
+
 #: Containers with at least this many elements are serialized per chunk.
 DEFAULT_CHUNK_THRESHOLD = 256
 

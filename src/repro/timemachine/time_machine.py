@@ -5,7 +5,7 @@ This is the component FixD's orchestration talks to.  It bundles
 * a checkpoint *policy* hook (communication-induced, periodic, or
   coordinated snapshots on demand),
 * the shared :class:`~repro.timemachine.checkpoint.CheckpointStore` and
-  optional :class:`~repro.timemachine.cow.CowPageStore`,
+  :class:`~repro.timemachine.cow.CowPageStore`,
 * the :class:`~repro.timemachine.speculation.SpeculationManager`, and
 * a :class:`~repro.timemachine.rollback.RollbackManager`
 
@@ -29,11 +29,7 @@ from repro.timemachine.comm_induced import (
     PeriodicCheckpointing,
 )
 from repro.timemachine.coordinated import CoordinatedSnapshotter
-from repro.timemachine.cow import (
-    DEFAULT_CHUNK_ELEMS,
-    DEFAULT_CHUNK_THRESHOLD,
-    CowPageStore,
-)
+from repro.timemachine.cow import CowPageStore
 from repro.timemachine.recovery_line import RecoveryLine, compute_recovery_line
 from repro.timemachine.rollback import RollbackManager, RollbackResult
 from repro.timemachine.speculation import SpeculationManager
@@ -47,32 +43,53 @@ class CheckpointPolicy(Enum):
     COORDINATED = "coordinated"
 
 
+#: Where committed recovery lines live.
+CHECKPOINT_STORES = ("memory", "disk")
+
+
+def check_checkpoint_store(checkpoint_store: str, store_path, error=CheckpointError) -> None:
+    """Reject an unknown ``checkpoint_store`` or a ``"disk"`` store with no root.
+
+    The one copy of the rule ``Scenario`` and :class:`TimeMachine` both
+    apply; raises ``error``.
+    """
+    if checkpoint_store not in CHECKPOINT_STORES:
+        raise error(
+            f"unknown checkpoint_store {checkpoint_store!r}; "
+            f"expected one of {CHECKPOINT_STORES}"
+        )
+    if checkpoint_store == "disk" and not store_path:
+        raise error(
+            "checkpoint_store='disk' requires an explicit store_path "
+            "(no implicit default directory)"
+        )
+
+
 @dataclass
 class TimeMachineConfig:
-    """Configuration of the Time Machine facade."""
+    """Configuration of the Time Machine facade.
+
+    The COW store and the durable store are both built with
+    :mod:`repro.timemachine.cow`'s default chunk layout, which is what
+    lets a commit reuse the COW chunk caches without re-pickling.
+    """
 
     policy: CheckpointPolicy = CheckpointPolicy.COMMUNICATION_INDUCED
     periodic_interval: int = 10
-    use_cow_store: bool = True
-    cow_page_size: int = 1024
-    checkpoint_capacity_per_process: Optional[int] = None
-    #: containers with at least this many elements capture per chunk
-    #: (None disables delta chunking entirely)
-    chunk_threshold: Optional[int] = DEFAULT_CHUNK_THRESHOLD
-    #: target element count per chunk / hash bucket
-    chunk_elems: int = DEFAULT_CHUNK_ELEMS
-    #: "memory" keeps checkpoints in-process; "disk" also flushes every
-    #: committed recovery line to a durable content-addressed blob store
+    #: "memory" keeps checkpoints in-process (a crashed experiment loses
+    #: them); "disk" also flushes every committed recovery line to a
+    #: durable content-addressed blob store ``Experiment.resume`` can
+    #: rebuild a cluster from
     checkpoint_store: str = "memory"
     #: root directory of the durable store (required for "disk")
     store_path: Optional[str] = None
     #: durable manifests are written under runs/<run_id>/
     run_id: str = "run"
-    #: keep only the newest N committed lines on disk (None keeps all)
-    durable_keep_lines: Optional[int] = None
-    #: "sync" flushes committed lines inline; "pipelined" moves blob IO
-    #: and fsyncs to a bounded background writer (drained at rollback,
-    #: rotation, run end and stats reads)
+    #: "sync" flushes committed lines inline; "pipelined" snapshots the
+    #: payload at commit time and moves blob IO and fsyncs to a bounded
+    #: background writer (drained at rollback, rotation/GC, run end and
+    #: stats reads, so the crash-window invariant and resume semantics
+    #: are unchanged)
     flush_mode: str = "sync"
     #: pipelined mode: queue bound in payload bytes before commits block
     flush_queue_bytes: int = DEFAULT_FLUSH_QUEUE_BYTES
@@ -99,34 +116,14 @@ class TimeMachine:
 
     def __init__(self, config: Optional[TimeMachineConfig] = None) -> None:
         self.config = config or TimeMachineConfig()
-        if self.config.checkpoint_store not in ("memory", "disk"):
-            raise CheckpointError(
-                f"unknown checkpoint_store {self.config.checkpoint_store!r} "
-                "(expected 'memory' or 'disk')"
-            )
-        self.store = CheckpointStore(self.config.checkpoint_capacity_per_process)
-        self.cow_store = (
-            CowPageStore(
-                self.config.cow_page_size,
-                chunk_threshold=self.config.chunk_threshold,
-                chunk_elems=self.config.chunk_elems,
-            )
-            if self.config.use_cow_store
-            else None
-        )
+        check_checkpoint_store(self.config.checkpoint_store, self.config.store_path)
+        self.store = CheckpointStore()
+        self.cow_store = CowPageStore()
         self.durable_store: Optional[DurableCheckpointStore] = None
         if self.config.checkpoint_store == "disk":
-            if not self.config.store_path:
-                raise CheckpointError(
-                    "checkpoint_store='disk' requires an explicit store_path "
-                    "(no implicit default directory)"
-                )
             self.durable_store = DurableCheckpointStore(
                 self.config.store_path,
                 run_id=self.config.run_id,
-                chunk_threshold=self.config.chunk_threshold,
-                chunk_elems=self.config.chunk_elems,
-                keep_lines=self.config.durable_keep_lines,
                 flush_mode=self.config.flush_mode,
                 flush_queue_bytes=self.config.flush_queue_bytes,
             )
@@ -142,20 +139,9 @@ class TimeMachine:
     def attach(self, cluster) -> None:
         """Install the checkpoint policy and speculation manager on a cluster."""
         self._cluster = cluster
-        # the COW chunk caches can feed the durable flush (zero-re-pickle
-        # commits) only when both stores cut identical chunk layouts —
-        # always true through this config, but guarded for direct users
-        cow_for_flush = None
-        if (
-            self.cow_store is not None
-            and self.durable_store is not None
-            and self.cow_store.chunk_threshold == self.durable_store.chunk_threshold
-            and self.cow_store.chunk_elems == self.durable_store.chunk_elems
-            and self.cow_store.order_elems == self.durable_store.order_elems
-        ):
-            cow_for_flush = self.cow_store
+        # the COW chunk caches feed the durable flush (zero-re-pickle commits)
         self._rollback_manager = RollbackManager(
-            cluster, durable=self.durable_store, cow=cow_for_flush
+            cluster, durable=self.durable_store, cow=self.cow_store
         )
         if self.durable_store is not None and self.durable_store.pipeline is not None:
             cluster.add_hook(_DurableDrainHook(self.durable_store))
@@ -197,10 +183,9 @@ class TimeMachine:
         process = self.cluster.process(pid)
         checkpoint = process.capture_checkpoint(self.cluster.now)
         self.store.add(checkpoint)
-        if self.cow_store is not None:
-            self.cow_store.capture(
-                pid, process.state, self.cluster.now, sequence=checkpoint.sequence
-            )
+        self.cow_store.capture(
+            pid, process.state, self.cluster.now, sequence=checkpoint.sequence
+        )
 
     # ------------------------------------------------------------------
     # recovery
@@ -238,15 +223,14 @@ class TimeMachine:
             "checkpoint_bytes_full": self.store.total_bytes(),
             "rollbacks": self._rollback_manager.rollbacks_performed if self._rollback_manager else 0,
             "speculations": self.speculations.stats(),
-        }
-        if self.cow_store is not None:
-            stats["cow_stored_bytes"] = self.cow_store.stored_bytes()
-            stats["cow_logical_bytes"] = self.cow_store.logical_bytes()
-            stats["cow_savings_ratio"] = self.cow_store.savings_ratio()
+            "cow_stored_bytes": self.cow_store.stored_bytes(),
+            "cow_logical_bytes": self.cow_store.logical_bytes(),
+            "cow_savings_ratio": self.cow_store.savings_ratio(),
             # dirty-tracking effectiveness: how much capture work the
             # per-key cache avoided across the run
-            stats["cow_hashed_bytes"] = self.cow_store.hashed_bytes_total
-            stats["cow_serialized_bytes"] = self.cow_store.serialized_bytes_total
+            "cow_hashed_bytes": self.cow_store.hashed_bytes_total,
+            "cow_serialized_bytes": self.cow_store.serialized_bytes_total,
+        }
         if self.durable_store is not None:
             stats["durable"] = self.durable_store.stats()
         return stats

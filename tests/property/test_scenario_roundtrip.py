@@ -7,8 +7,12 @@
 2. **Replayable artefacts** — running the *same serialized scenario*
    twice on the simulator backend produces identical
    :meth:`Outcome.projection` records: the JSON text alone pins the run.
+3. **Loud on junk** — a canonical dict with a key dropped, a value
+   swapped for a wrong type or a number pushed out of range either
+   loads into a scenario that round-trips byte-stably or raises
+   ``ScenarioError`` — never a bare ``TypeError``/``ValueError``.
 
-Both properties are exercised over randomly generated scenarios and
+The properties are exercised over randomly generated scenarios and
 fault schedules (seeded ``random.Random`` programs, in the style of the
 other property suites in this directory).
 """
@@ -28,6 +32,7 @@ from repro.api import (
     FaultSchedule,
     Partition,
     Scenario,
+    ScenarioError,
     run_scenario,
 )
 
@@ -123,6 +128,41 @@ def test_random_scenarios_round_trip_byte_identical(seed):
         assert rebuilt.to_json().encode("utf-8") == text.encode("utf-8")
         # and a second hop stays fixed (serialization is a projection)
         assert Scenario.from_json(rebuilt.to_json()) == rebuilt
+
+
+#: values no scenario field accepts everywhere: each field meets several wrong types
+WRONG_TYPES = [None, True, 5, -3, 0, 1.5, "junk", [1], {"k": 1}, []]
+OUT_OF_RANGE = [0, -1, -3, 0.0, -0.5, float("nan"), float("inf"), 10**12]
+
+
+def mutate(payload: dict, rng: random.Random) -> dict:
+    mutated = dict(payload)
+    key = rng.choice(sorted(mutated))
+    action = rng.randrange(3)
+    if action == 0:
+        del mutated[key]
+    elif action == 1:
+        mutated[key] = rng.choice(WRONG_TYPES)
+    else:
+        numeric = [k for k, v in sorted(mutated.items()) if isinstance(v, (int, float))]
+        mutated[rng.choice(numeric)] = rng.choice(OUT_OF_RANGE)
+    return mutated
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_scenario_dicts_load_cleanly_or_raise_scenario_error(seed):
+    rng = random.Random(2000 + seed)
+    rejected = 0
+    for _ in range(40):
+        payload = mutate(random_scenario(rng).to_dict(), rng)
+        try:
+            scenario = Scenario.from_dict(payload)
+        except ScenarioError:
+            rejected += 1
+            continue
+        text = scenario.to_json()
+        assert Scenario.from_json(text).to_json() == text
+    assert rejected  # the mutations do reach the validation
 
 
 @pytest.mark.parametrize("seed", range(10))

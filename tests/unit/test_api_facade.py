@@ -32,6 +32,7 @@ from repro.api import (
     save_suite,
 )
 from repro.api.faults import apply_corruption_ops, spec_from_dict, spec_to_dict
+from repro.dsim.backend import make_backend
 from repro.errors import AttachmentError, SimulationError
 from repro.scroll.interceptor import RecordingPolicy
 
@@ -221,6 +222,38 @@ class TestScenario:
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
             Scenario.from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({}, "app"),
+            ({"app": "bank", "recovering": 5}, "recovering"),
+            ({"app": "bank", "recovering": [1]}, "recovering"),
+            ({"app": "bank", "params": [1]}, "params"),
+            ({"app": "bank", "faults": 5}, "faults"),
+            ({"app": "bank", "name": 5}, "name"),
+            ({"app": "bank", "seed": True}, "seed"),
+        ],
+    )
+    def test_from_dict_names_the_malformed_field(self, payload, field):
+        # suite files come from outside the program: never a bare TypeError
+        with pytest.raises(ScenarioError, match=field):
+            Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize("time_scale", [0, -1, float("nan"), float("inf"), "fast", True])
+    def test_time_scale_must_be_a_positive_number(self, time_scale):
+        # -1 used to "pass" having executed nothing; 0 died in the router
+        with pytest.raises(ScenarioError, match="time_scale"):
+            Scenario(app="wordcount", backend="mp", until=50.0, time_scale=time_scale)
+        with pytest.raises(SimulationError, match="time_scale"):
+            make_backend("mp", time_scale=time_scale)
+
+    @pytest.mark.parametrize("hot_window", [0, -3, 1.5, True])
+    def test_hot_window_rejected_at_construction(self, hot_window):
+        # used to load fine and die with a ValueError inside Scroll mid-execute
+        with pytest.raises(ScenarioError, match="hot_window"):
+            Scenario(app="token_ring", hot_window=hot_window)
+        assert Scenario(app="token_ring", hot_window=1).hot_window == 1
 
     def test_run_unknown_app_fails_loudly(self):
         with pytest.raises(UnknownAppError):
@@ -412,9 +445,9 @@ class TestAttachIdempotence:
         assert hooks.count(fixd.detector) == 1
         assert len(fixd.detector.responders) == 1
 
-    def test_make_cluster_then_attach_raises(self):
+    def test_attach_to_real_process_cluster_then_attach_raises(self):
         fixd = FixD(FixDConfig(investigate_on_fault=False))
-        fixd.make_cluster(ClusterConfig(seed=1))
+        fixd.attach(Cluster(ClusterConfig(seed=1), backend="mp"))
         with pytest.raises(AttachmentError):
             fixd.attach(Cluster(ClusterConfig(seed=2)))
 
@@ -427,20 +460,22 @@ class TestAttachIdempotence:
             ("mp", "bogus", "unknown transport"),
         ],
     )
-    def test_make_cluster_rejects_transport_the_backend_cannot_honour(
+    def test_make_backend_rejects_transport_the_backend_cannot_honour(
         self, backend, transport, message
     ):
         # the rule Scenario enforces: transport is an mp knob — a net
         # cluster must not silently run sockets when asked for "shm"
         with pytest.raises(ScenarioError, match=message):
             Scenario(app="token_ring", backend=backend, transport=transport)
-        fixd = FixD(FixDConfig(backend=backend, transport=transport))
         with pytest.raises(SimulationError, match=message):
-            fixd.make_cluster(ClusterConfig(seed=1))
+            make_backend(backend, transport)
 
-    def test_make_cluster_builds_the_requested_mp_transport(self):
-        cluster = FixD(FixDConfig(backend="mp", transport="shm")).make_cluster()
+    def test_make_backend_builds_the_requested_mp_transport(self):
+        cluster = Cluster(backend=make_backend("mp", "shm", time_scale=0.01))
         assert cluster.backend.options.transport == "shm"
+        assert cluster.backend.options.time_scale == 0.01
+        # the bare name is the other sanctioned spelling; it takes the defaults
+        assert Cluster(backend="mp").backend.options.transport == "pipe"
 
 
 class TestAutoCommit:
