@@ -21,16 +21,16 @@ tier1-core:
 		--ignore=tests/integration/test_bench_smoke.py
 
 ## Flake hunt, run before each re-anchor: tier1-core SOAK_RUNS times
-## (default 5), each under a different PYTHONHASHSEED, with a zero-flake
-## budget (the first failing run stops the loop).  Tier-1 asserts no
-## wall-clock ratio, so a failure here is a real race or an ordering
-## dependence.  Random test order is not covered: no ordering plugin is
-## installed.
+## (default 5), each under a different PYTHONHASHSEED and a different
+## test order (REPRO_TEST_ORDER_SEED, read by tests/conftest.py), with a
+## zero-flake budget (the first failing run stops the loop).  Tier-1
+## asserts no wall-clock ratio, so a failure here is a real race or an
+## ordering dependence; rerun it with the seeds the run printed.
 SOAK_RUNS ?= 5
 soak:
 	@for seed in $$(seq 1 $(SOAK_RUNS)); do \
-		echo "soak run $$seed/$(SOAK_RUNS): PYTHONHASHSEED=$$seed"; \
-		PYTHONHASHSEED=$$seed $(MAKE) --no-print-directory tier1-core || exit 1; \
+		echo "soak run $$seed/$(SOAK_RUNS): PYTHONHASHSEED=$$seed REPRO_TEST_ORDER_SEED=$$seed"; \
+		PYTHONHASHSEED=$$seed REPRO_TEST_ORDER_SEED=$$seed $(MAKE) --no-print-directory tier1-core || exit 1; \
 	done
 
 matrix:

@@ -71,6 +71,14 @@ def invariant(name: str) -> Callable:
     The method must return a truthy value when the invariant holds.  It
     may also raise :class:`InvariantViolation` directly to attach a
     detailed message.
+
+    An invariant is a function of the process's state: it reads
+    ``self.state`` (and the instance's configuration), and never the
+    clock or the random stream; it sends nothing, sets no timer and
+    changes nothing.  The Investigator relies on this contract.  It
+    evaluates each invariant once per distinct process state, on an
+    instance bound to no clock and no random stream, against a state
+    object the model shares between states.
     """
 
     def decorate(func: Callable) -> Callable:

@@ -33,6 +33,17 @@ Both kinds of action execute the *real handler code* of the destination
 process in a sandbox: the process instance's state is loaded from the
 model state, the handler runs, and the sends/timers it performs are
 captured into the successor state.
+
+Sharing
+-------
+Model states are never mutated, so a successor shares everything its
+step did not touch.  One transition deep-copies one process state (the
+handler's working copy, which becomes the successor's state); every
+other process state, channel record and timer entry is the parent's own
+object.  Payloads are copied on read, when a message is delivered or a
+timer fires.  Digests follow the same sharing: each process state and
+each message record is digested once, and a state's fingerprint hashes
+those digests.
 """
 
 from __future__ import annotations
@@ -47,21 +58,37 @@ from repro.dsim.rng import DeterministicRNG, derive_seed
 from repro.errors import InvariantViolation, ModelCheckingError
 from repro.investigator.guarded import Action, GuardedModel
 from repro.investigator.invariants import InvariantSpec
-from repro.investigator.state import fingerprint
+from repro.investigator.state import compose, digest
 from repro.timemachine.checkpoint import GlobalCheckpoint
 
 ProcessFactory = Callable[[], Process]
 
 
+Channel = Tuple[str, str]
+#: a channel's in-flight records and their digests, index-aligned
+Queue = Tuple[Tuple[Dict[str, Any], ...], Tuple[bytes, ...]]
+
+
 @dataclass(frozen=True)
 class SystemState:
-    """The global state of the modelled distributed system (treated as immutable)."""
+    """The global state of the modelled distributed system (treated as immutable).
+
+    Besides its fields a state caches the digest of each process state and
+    of each in-flight message record, and its fingerprint.  A state built
+    by the constructor computes them on first use; one made by
+    :meth:`successor` inherits its parent's for every part it shares.
+    """
 
     process_states: Tuple[Tuple[str, Any], ...]
     rng_cursors: Tuple[Tuple[str, int], ...]
-    channels: Tuple[Tuple[Tuple[str, str], Tuple[Any, ...]], ...]
+    channels: Tuple[Tuple[Channel, Tuple[Any, ...]], ...]
     timers: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     step: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_process_digests", {})
+        object.__setattr__(self, "_record_digests", {})
+        object.__setattr__(self, "_fingerprint", None)
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -87,6 +114,57 @@ class SystemState:
             ),
             step=step,
         )
+
+    def successor(
+        self,
+        pid: str,
+        process_state: Dict[str, Any],
+        rng_cursor: int,
+        queues: Dict[Channel, Queue],
+        timers: Dict[str, Tuple[Any, ...]],
+    ) -> "SystemState":
+        """The state after one handler of ``pid`` ran; nothing is copied.
+
+        ``process_state`` (the handler's result) and ``rng_cursor`` replace
+        ``pid``'s; ``queues`` and ``timers`` are the complete channel and
+        timer maps of the successor.  Every other process state, and its
+        digest, is shared with this state.
+        """
+        digests = {other: self.process_digest(other) for other, _ in self.process_states if other != pid}
+        cursors = dict(self.rng_cursors)
+        cursors[pid] = rng_cursor
+        successor = SystemState(
+            process_states=tuple(
+                (other, process_state if other == pid else state) for other, state in self.process_states
+            ),
+            rng_cursors=tuple(sorted(cursors.items())),
+            channels=tuple(sorted((channel, records) for channel, (records, _) in queues.items() if records)),
+            timers=tuple(sorted((other, queue) for other, queue in timers.items() if queue)),
+            step=self.step + 1,
+        )
+        successor._process_digests.update(digests)
+        successor._record_digests.update(
+            (channel, record_digests) for channel, (records, record_digests) in queues.items() if records
+        )
+        return successor
+
+    # -- digests ---------------------------------------------------------
+    def process_digest(self, pid: str) -> bytes:
+        """Digest of ``pid``'s state, computed once per state object."""
+        found = self._process_digests.get(pid)
+        if found is None:
+            found = self._process_digests[pid] = digest(self.state_of(pid))
+        return found
+
+    def queues(self) -> Dict[Channel, Queue]:
+        """Every non-empty channel with its record digests (a fresh dict of shared queues)."""
+        return {channel: (records, self._queue_digests(channel, records)) for channel, records in self.channels}
+
+    def _queue_digests(self, channel: Channel, records: Tuple[Any, ...]) -> Tuple[bytes, ...]:
+        found = self._record_digests.get(channel)
+        if found is None:
+            found = self._record_digests[channel] = tuple(digest(record) for record in records)
+        return found
 
     # -- views -----------------------------------------------------------
     def state_of(self, pid: str) -> Dict[str, Any]:
@@ -128,11 +206,22 @@ class SystemState:
         return self.pending_messages() == 0 and self.pending_timers() == 0
 
     def fingerprint(self) -> str:
-        # The step counter is excluded: two identical configurations reached
-        # after a different number of steps are the same state.
-        return fingerprint(
-            (self.process_states, self.rng_cursors, self.channels, self.timers)
-        )
+        """Hash of the per-part digests, the RNG cursors and the timers (cached).
+
+        The step counter is excluded: two identical configurations reached
+        after a different number of steps are the same state.
+        """
+        if self._fingerprint is None:
+            composed = compose(
+                (
+                    tuple((pid, self.process_digest(pid)) for pid, _ in self.process_states),
+                    self.rng_cursors,
+                    tuple((channel, self._queue_digests(channel, records)) for channel, records in self.channels),
+                    digest(self.timers),
+                )
+            )
+            object.__setattr__(self, "_fingerprint", composed)
+        return self._fingerprint
 
     def describe(self) -> str:
         states = ", ".join(f"{pid}:{state}" for pid, state in self.process_states)
@@ -161,21 +250,40 @@ class EnvironmentModel(Process):
 
 
 class _SandboxContext:
-    """Captures the sends and timers a handler performs during model execution."""
+    """Captures the sends and timers a handler performs during model execution.
+
+    Timer operations are kept in one ordered list, as the simulator
+    applies them: a cancel removes every pending timer of that name,
+    including one set earlier in the same handler.
+    """
 
     def __init__(self, pid: str, peers: Tuple[str, ...], rng: DeterministicRNG, now: float) -> None:
         self.sent: List[Message] = []
-        self.timers_set: List[Tuple[str, Any]] = []
-        self.timers_cancelled: List[str] = []
+        self.timer_ops: List[Tuple[str, Optional[Tuple[str, Any]]]] = []
         self.context = ProcessContext(
             pid=pid,
             peers=peers,
             send_fn=self.sent.append,
-            timer_fn=lambda name, delay, payload: self.timers_set.append((name, payload)),
-            cancel_timer_fn=self.timers_cancelled.append,
+            timer_fn=lambda name, delay, payload: self.timer_ops.append((name, (name, payload))),
+            cancel_timer_fn=lambda name: self.timer_ops.append((name, None)),
             now_fn=lambda: now,
             rng=rng,
         )
+
+    def timer_queue(self, queue: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """``queue`` after this handler's sets and cancels, in the order they ran."""
+        for name, entry in self.timer_ops:
+            if entry is None:
+                queue = tuple(pending for pending in queue if pending[0] != name)
+            else:
+                queue += (entry,)
+        return queue
+
+
+def _refuse(*_args: Any) -> Any:
+    raise ModelCheckingError(
+        "an invariant is a function of its process's state: it cannot send, set timers or read the clock"
+    )
 
 
 class DistributedSystemModel:
@@ -195,8 +303,11 @@ class DistributedSystemModel:
         self.global_invariants = dict(global_invariants or {})
         self.check_process_invariants = check_process_invariants
         self._pids = tuple(sorted(self.factories))
-        # One scratch instance per process, reused across action executions.
+        self._seeds = {pid: derive_seed(seed, "model", pid) for pid in self._pids}
+        # One scratch instance per process, reused across action executions,
+        # and one per process that only ever evaluates invariants.
         self._scratch: Dict[str, Process] = {}
+        self._checkers: Dict[str, Process] = {}
 
     # ------------------------------------------------------------------
     # scratch process management
@@ -206,9 +317,29 @@ class DistributedSystemModel:
             self._scratch[pid] = self.factories[pid]()
         return self._scratch[pid]
 
+    def _checker(self, pid: str) -> Process:
+        """``pid``'s invariant evaluator: bound to no RNG, no clock and no network."""
+        checker = self._checkers.get(pid)
+        if checker is None:
+            checker = self._checkers[pid] = self.factories[pid]()
+            checker.bind(
+                ProcessContext(
+                    pid=pid,
+                    peers=self._pids,
+                    send_fn=_refuse,
+                    timer_fn=_refuse,
+                    cancel_timer_fn=_refuse,
+                    now_fn=_refuse,
+                    rng=None,
+                )
+            )
+        return checker
+
     def _fresh_rng(self, pid: str, cursor: int) -> DeterministicRNG:
-        rng = DeterministicRNG(derive_seed(self.seed, "model", pid))
-        rng.restore(cursor)
+        """``pid``'s stream after ``cursor`` draws (seeded once, then fast-forwarded)."""
+        rng = DeterministicRNG(self._seeds[pid])
+        for _ in range(cursor):
+            rng.random()
         return rng
 
     # ------------------------------------------------------------------
@@ -226,11 +357,12 @@ class DistributedSystemModel:
             sandbox = _SandboxContext(pid, self._pids, rng, now=0.0)
             process.bind(sandbox.context)
             process.on_start()
-            states[pid] = copy.deepcopy(process.state)
+            # SystemState.build copies every state and record it is given
+            states[pid] = process.state
             cursors[pid] = rng.draws
             for message in sandbox.sent:
                 channels.setdefault((message.src, message.dst), []).append(message.to_record())
-            timers[pid] = list(sandbox.timers_set)
+            timers[pid] = sandbox.timer_queue(())
         return SystemState.build(states, cursors, channels, timers)
 
     def state_from_checkpoint(
@@ -253,7 +385,7 @@ class DistributedSystemModel:
                 sandbox = _SandboxContext(pid, self._pids, rng, now=0.0)
                 process.bind(sandbox.context)
                 process.on_start()
-                states[pid] = copy.deepcopy(process.state)
+                states[pid] = process.state
                 cursors[pid] = rng.draws
         channels: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         for message in in_flight or ():
@@ -268,68 +400,61 @@ class DistributedSystemModel:
         state: SystemState,
         pid: str,
         run: Callable[[Process], None],
+        queues: Dict[Channel, Queue],
+        timers: Dict[str, Tuple[Any, ...]],
     ) -> SystemState:
-        """Run ``run(process)`` against ``pid``'s implementation and build the successor."""
+        """Run ``run(process)`` against ``pid``'s implementation and build the successor.
+
+        ``queues`` and ``timers`` are ``state``'s channel and timer maps
+        with the consumed message or timer already removed; the handler's
+        sends and timer operations are applied to them.
+        """
         process = self._scratch_process(pid)
         rng = self._fresh_rng(pid, state.rng_cursor(pid))
         sandbox = _SandboxContext(pid, self._pids, rng, now=float(state.step + 1))
         process.bind(sandbox.context)
+        # The transition's one deep copy: the handler's result is the successor's state.
         process.state = copy.deepcopy(state.state_of(pid))
 
         run(process)
 
-        states = state.states()
-        states[pid] = copy.deepcopy(process.state)
-        cursors = {p: state.rng_cursor(p) for p in self._pids}
-        cursors[pid] = rng.draws
-        channels: Dict[Tuple[str, str], List[Dict[str, Any]]] = {
-            channel: list(queue) for channel, queue in state.channels
-        }
         for message in sandbox.sent:
-            channels.setdefault((message.src, message.dst), []).append(message.to_record())
-        timers: Dict[str, List[Tuple[str, Any]]] = {p: list(state.timer_queue(p)) for p in self._pids}
-        for name in sandbox.timers_cancelled:
-            timers[pid] = [entry for entry in timers[pid] if entry[0] != name]
-        timers[pid] = list(timers.get(pid, [])) + list(sandbox.timers_set)
-        return SystemState.build(states, cursors, channels, timers, step=state.step + 1)
+            record = message.to_record()
+            channel = (message.src, message.dst)
+            records, record_digests = queues.get(channel, ((), ()))
+            queues[channel] = (records + (record,), record_digests + (digest(record),))
+        timers[pid] = sandbox.timer_queue(timers.get(pid, ()))
+        return state.successor(pid, process.state, rng.draws, queues, timers)
 
     def _deliver_effect(self, src: str, dst: str) -> Callable[[SystemState], SystemState]:
+        channel = (src, dst)
+
         def effect(state: SystemState) -> SystemState:
-            queue = state.channel_queue(src, dst)
-            if not queue:
+            queues = state.queues()
+            if channel not in queues:
                 raise ModelCheckingError(f"deliver action fired with empty channel {src}->{dst}")
-            record = queue[0]
-            message = Message.from_record(dict(record))
-            # Remove the message from the channel before executing the handler.
-            trimmed = {channel: list(q) for channel, q in state.channels}
-            trimmed[(src, dst)] = list(queue[1:])
-            pre = SystemState.build(
-                state.states(),
-                {p: state.rng_cursor(p) for p in self._pids},
-                trimmed,
-                {p: list(state.timer_queue(p)) for p in self._pids},
-                step=state.step,
+            records, record_digests = queues[channel]
+            record = records[0]
+            message = Message.from_record({**record, "payload": copy.deepcopy(record.get("payload"))})
+            queues[channel] = (records[1:], record_digests[1:])
+            return self._execute_handler(
+                state, dst, lambda process: process.deliver(message), queues, dict(state.timers)
             )
-            return self._execute_handler(pre, dst, lambda process: process.deliver(message))
 
         return effect
 
     def _timer_effect(self, pid: str) -> Callable[[SystemState], SystemState]:
         def effect(state: SystemState) -> SystemState:
-            queue = state.timer_queue(pid)
+            timers = dict(state.timers)
+            queue = timers.get(pid)
             if not queue:
                 raise ModelCheckingError(f"timer action fired with no pending timer at {pid}")
             name, payload = queue[0]
-            trimmed_timers = {p: list(state.timer_queue(p)) for p in self._pids}
-            trimmed_timers[pid] = list(queue[1:])
-            pre = SystemState.build(
-                state.states(),
-                {p: state.rng_cursor(p) for p in self._pids},
-                {channel: list(q) for channel, q in state.channels},
-                trimmed_timers,
-                step=state.step,
+            payload = copy.deepcopy(payload)
+            timers[pid] = queue[1:]
+            return self._execute_handler(
+                state, pid, lambda process: process.fire_timer(name, payload), state.queues(), timers
             )
-            return self._execute_handler(pre, pid, lambda process: process.fire_timer(name, payload))
 
         return effect
 
@@ -337,17 +462,23 @@ class DistributedSystemModel:
     # invariants
     # ------------------------------------------------------------------
     def _process_invariant_spec(self, pid: str) -> InvariantSpec:
+        # An invariant is a function of its process's state, so one verdict
+        # per distinct state (by digest) serves every global state holding it.
+        verdicts: Dict[bytes, bool] = {}
+
         def predicate(state: SystemState) -> bool:
-            process = self._scratch_process(pid)
-            rng = self._fresh_rng(pid, state.rng_cursor(pid))
-            sandbox = _SandboxContext(pid, self._pids, rng, now=float(state.step))
-            process.bind(sandbox.context)
-            process.state = copy.deepcopy(state.state_of(pid))
-            try:
-                process.check_invariants()
-            except InvariantViolation:
-                return False
-            return True
+            key = state.process_digest(pid)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                checker = self._checker(pid)
+                checker.state = state.state_of(pid)
+                try:
+                    checker.check_invariants()
+                    verdict = True
+                except InvariantViolation:
+                    verdict = False
+                verdicts[key] = verdict
+            return verdict
 
         return InvariantSpec(
             name=f"process:{pid}",

@@ -9,6 +9,9 @@ The model checking engine works on opaque *states*; all it needs is
 variables.  :func:`fingerprint` produces a stable digest of any
 picklable value, normalising dictionaries and sets so logically equal
 states hash identically regardless of construction order.
+:func:`digest` is the same digest as raw bytes, and :func:`compose`
+hashes a value that is canonical already; together they let a state
+fingerprint itself from digests of its parts, each computed once.
 """
 
 from __future__ import annotations
@@ -19,8 +22,24 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
 
+#: Exact types ``_normalise`` returns unchanged without consulting an ABC.
+_SCALARS = frozenset({str, int, float, bool, type(None), bytes})
+
+
 def _normalise(value: Any) -> Any:
-    """Recursively convert a value into a canonical, hashable-ish structure."""
+    """Recursively convert a value into a canonical, hashable-ish structure.
+
+    The exact-type checks up front are fast paths for what states are
+    made of; they produce what the ``Mapping``/set/sequence fallbacks
+    below would (an ABC ``isinstance`` costs far more than a type test).
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is dict:
+        return tuple(sorted((key, _normalise(sub)) for key, sub in value.items()))
+    if kind is list or kind is tuple:
+        return tuple(_normalise(item) for item in value)
     if isinstance(value, Mapping):
         return tuple(sorted((key, _normalise(sub)) for key, sub in value.items()))
     if isinstance(value, (set, frozenset)):
@@ -30,14 +49,24 @@ def _normalise(value: Any) -> Any:
     return value
 
 
-def fingerprint(value: Any) -> str:
-    """Stable SHA-1 digest of any picklable value with canonical ordering."""
+def digest(value: Any) -> bytes:
+    """Stable SHA-1 digest (raw bytes) of any picklable value with canonical ordering."""
     canonical = _normalise(value)
     try:
         blob = pickle.dumps(canonical, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         blob = repr(canonical).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()
+    return hashlib.sha1(blob).digest()
+
+
+def fingerprint(value: Any) -> str:
+    """Stable SHA-1 hex digest of any picklable value with canonical ordering."""
+    return digest(value).hex()
+
+
+def compose(parts: Tuple[Any, ...]) -> str:
+    """SHA-1 hex digest of a value that is already canonical (digests, names, counters)."""
+    return hashlib.sha1(pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()
 
 
 @dataclass(frozen=True)

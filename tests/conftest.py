@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from repro.dsim.cluster import Cluster, ClusterConfig
@@ -170,3 +173,28 @@ def durable_flush_mode(request, monkeypatch):
             drained(DurableCheckpointStore.flush_scroll),
         )
     return mode
+
+
+# ----------------------------------------------------------------------
+# order shuffling for the flake hunt (`make soak`)
+# ----------------------------------------------------------------------
+ORDER_SEED_VARIABLE = "REPRO_TEST_ORDER_SEED"
+
+
+def pytest_report_header(config):
+    seed = os.environ.get(ORDER_SEED_VARIABLE)
+    if seed:
+        return f"test order shuffled with {ORDER_SEED_VARIABLE}={seed}"
+    return None
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the collected tests when ``REPRO_TEST_ORDER_SEED`` is set.
+
+    ``make soak`` sets it per run, so an order dependence between tests
+    shows up as a failing soak run; rerun that order with the printed
+    seed.  Unset (every other run), the order is pytest's own.
+    """
+    seed = os.environ.get(ORDER_SEED_VARIABLE)
+    if seed:
+        random.Random(seed).shuffle(items)

@@ -3,10 +3,15 @@ the CMC-style checker, process-model adapters and the facade."""
 
 from __future__ import annotations
 
+import collections.abc
+import copy
+import types
+
 import pytest
 
-from repro.dsim.process import Process, handler, invariant
+from repro.dsim.process import ConfiguredFactory, Process, handler, invariant
 from repro.errors import ModelCheckingError, StateSpaceLimitExceeded
+from repro.investigator import state as state_module
 from repro.investigator.cmc import CMCChecker, CMCConfig, GenericProperty
 from repro.investigator.explorer import Explorer, SearchOrder
 from repro.investigator.frontend import ModelBuilder
@@ -59,6 +64,24 @@ class TestStateFingerprint:
         a = ModelState.from_dict({"x": 1, "y": 2})
         b = ModelState.from_dict({"y": 2, "x": 1})
         assert a.fingerprint() == b.fingerprint()
+
+    def test_plain_nodes_skip_the_abc_checks(self, monkeypatch):
+        checked = []
+
+        class Counting(type):
+            def __instancecheck__(cls, value):
+                checked.append(value)
+                return isinstance(value, collections.abc.Mapping)
+
+        class SpyMapping(metaclass=Counting):
+            pass
+
+        monkeypatch.setattr(state_module, "Mapping", SpyMapping)
+        state_module._normalise({"a": [1, (2.0, None)], "b": {"c": True, "d": b"x", "e": "s"}})
+        assert checked == []
+        proxy = types.MappingProxyType({"a": 1})
+        state_module._normalise([proxy])
+        assert checked == [proxy]
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +464,80 @@ class Echo(Process):
         return self.state["replies"] <= 1
 
 
+class TimerJuggler(Process):
+    """On ``GO``, p1 runs the timer operations listed in the message payload."""
+
+    script = (("set", "t"), ("cancel", "t"))
+
+    def on_start(self):
+        if self.pid == "p0":
+            self.send("p1", "GO", self.script)
+
+    @handler("GO")
+    def on_go(self, msg):
+        for op, name in msg.payload:
+            if op == "set":
+                self.set_timer(name, 1.0)
+            else:
+                self.cancel_timer(name)
+
+
+class Snooper(Process):
+    """An invariant that breaks the contract by reading the clock."""
+
+    def on_start(self):
+        self.state["n"] = 0
+
+    @invariant("reads-the-clock")
+    def reads_the_clock(self):
+        return self.now() >= 0
+
+
 class TestDistributedSystemModel:
+    @pytest.mark.parametrize(
+        "script, expected",
+        [
+            ((("set", "t"), ("cancel", "t")), ()),
+            ((("cancel", "t"), ("set", "t")), (("t", None),)),
+            ((("set", "t"), ("cancel", "t"), ("set", "t")), (("t", None),)),
+            ((("set", "t"), ("set", "u"), ("cancel", "t")), (("u", None),)),
+        ],
+    )
+    def test_timer_operations_apply_in_handler_order(self, script, expected):
+        """A cancel removes every pending timer of that name, as the simulator's does."""
+        factory = ConfiguredFactory(TimerJuggler, script=script)
+        adapter = DistributedSystemModel({"p0": factory, "p1": factory})
+        model = adapter.build_model()
+        (after,) = model.action("deliver:p0->p1").apply(model.initial_state)
+        assert after.timer_queue("p1") == expected
+
+    def test_a_transition_deep_copies_only_the_handled_process(self, monkeypatch):
+        adapter = DistributedSystemModel({"p0": Echo, "p1": Echo, "p2": Echo})
+        model = adapter.build_model()
+        initial = model.initial_state
+        copied = []
+        real_deepcopy = copy.deepcopy
+
+        def counting_deepcopy(value, *args):
+            copied.append(value)
+            return real_deepcopy(value, *args)
+
+        def no_pre_state(*args, **kwargs):
+            raise AssertionError("an effect built a whole SystemState")
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        monkeypatch.setattr(SystemState, "build", staticmethod(no_pre_state))
+        (after,) = model.action("deliver:p0->p1").apply(initial)
+        process_copies = [value for value in copied if any(value is s for _, s in initial.process_states)]
+        assert len(process_copies) == 1 and process_copies[0] is initial.state_of("p1")
+        assert after.state_of("p0") is initial.state_of("p0")
+        assert after.state_of("p2") is initial.state_of("p2")
+
+    def test_invariants_cannot_read_the_clock(self):
+        adapter = DistributedSystemModel({"p0": Snooper})
+        report = Explorer(adapter.build_model(), SearchOrder.BFS, check_deadlocks=False).explore()
+        assert [trail.violated_invariant for trail in report.violations] == ["process:p0"]
+
     def test_initial_state_runs_on_start(self):
         adapter = DistributedSystemModel({"p0": Echo, "p1": Echo})
         initial = adapter.initial_state()
