@@ -276,8 +276,8 @@ def measure_chunked_cow(
                 state["epoch"] = round_index
                 for position in scattered_positions(round_index, mutated):
                     state["table"][f"k{position:06d}"] = f"v{round_index:03d}-{position:06d}"
-            chunked.capture("p", state, float(round_index))
-            whole.capture("p", state, float(round_index))
+            chunked_latest = chunked.capture("p", state, float(round_index))
+            whole_latest = whole.capture("p", state, float(round_index))
             if round_index == 0:
                 chunked_first = (chunked.serialized_bytes_total, chunked.hashed_bytes_total)
                 whole_first = (whole.serialized_bytes_total, whole.hashed_bytes_total)
@@ -310,8 +310,8 @@ def measure_chunked_cow(
         whole_pickled = (whole.serialized_bytes_total - whole_first[0]) / steady
         whole_hashed = (whole.hashed_bytes_total - whole_first[1]) / steady
 
-        restored_chunked = chunked.restore(chunked.latest("p"))
-        restored_whole = whole.restore(whole.latest("p"))
+        restored_chunked = chunked.restore(chunked_latest)
+        restored_whole = whole.restore(whole_latest)
         restore_ok = (
             restored_chunked == state
             and restored_whole == state
@@ -453,7 +453,7 @@ def measure_durable_flush(
                     )
                 committed = {"table": dict(state["table"]), "epoch": state["epoch"]}
             stats = durable.stats()  # pipeline barrier: every flush landed
-            restore_ok = cow.restore(cow.latest("p")) == state
+            restore_ok = cow.restore(captured) == state
             _, resumed = DurableCheckpointStore.restore_line(root, "bench")
             resumed_state = resumed["p"].state
             resume_ok = (

@@ -29,10 +29,6 @@ class RunStatistics:
     nondeterministic_entries: int
 
     @property
-    def deterministic_entries(self) -> int:
-        return self.total_entries - self.nondeterministic_entries
-
-    @property
     def delivery_ratio(self) -> float:
         """Fraction of sent messages that were received."""
         if self.messages_sent == 0:

@@ -76,6 +76,3 @@ class FaultDetector(RuntimeHook):
 
     def first_fault(self) -> Optional[FaultEvent]:
         return self.faults[0] if self.faults else None
-
-    def last_fault(self) -> Optional[FaultEvent]:
-        return self.faults[-1] if self.faults else None

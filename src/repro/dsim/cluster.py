@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.dsim.clock import VectorTimestamp
 from repro.dsim.failure import FailurePlan
 from repro.dsim.hooks import HookChain, RuntimeHook
 from repro.dsim.network import NetworkConfig
@@ -416,7 +415,3 @@ class Cluster:
         fresh.on_start()
         self._record_trace(pid, "restart", "restarted from initial state")
         return fresh
-
-    def global_vector_time(self) -> Dict[str, VectorTimestamp]:
-        """Current vector timestamp of every process."""
-        return {pid: process.vector_timestamp for pid, process in self._processes.items()}

@@ -92,9 +92,6 @@ class Network:
         """Make ``pid`` addressable on the network."""
         self._processes.add(pid)
 
-    def known_processes(self) -> Set[str]:
-        return set(self._processes)
-
     def add_partition(self, partition: Partition) -> None:
         """Install a partition window."""
         self._partitions.append(partition)

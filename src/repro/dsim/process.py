@@ -448,10 +448,6 @@ class Process:
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def invariant_names(self) -> List[str]:
-        """Names of all invariants declared on this process."""
-        return sorted(self._invariants)
-
     def check_invariants(self) -> None:
         """Evaluate every declared invariant; raise on the first failure."""
         for name, check in sorted(self._invariants.items()):

@@ -125,7 +125,3 @@ class ScrollRecorder(RuntimeHook):
     def on_invariant_violation(self, pid, name, detail, time, vt=None):
         self._record(pid, ActionKind.VIOLATION, time, {"invariant": name, "detail": detail}, vt)
         return None
-
-    def record_checkpoint(self, pid: str, sequence: int, time: float) -> None:
-        """Record that a local checkpoint was taken (called by checkpoint policies)."""
-        self._record(pid, ActionKind.CHECKPOINT, time, {"sequence": sequence})

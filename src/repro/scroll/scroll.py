@@ -285,10 +285,6 @@ class Scroll:
         entry = ScrollEntry(pid=pid, kind=kind, time=time, detail=dict(detail or {}), vt=vt)
         return self.append(entry)
 
-    def annotate(self, pid: str, time: float, text: str) -> ScrollEntry:
-        """Record a free-form annotation (application log line)."""
-        return self.record(pid, ActionKind.ANNOTATION, time, {"text": text})
-
     # ------------------------------------------------------------------
     # garbage collection (committed recovery lines)
     # ------------------------------------------------------------------

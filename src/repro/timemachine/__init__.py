@@ -8,9 +8,9 @@ restarting from scratch.
 
 The package provides:
 
-* local checkpoint capture and storage, in two flavours — full deep
-  copies (:mod:`repro.timemachine.checkpoint`) and copy-on-write
-  incremental checkpoints (:mod:`repro.timemachine.cow`);
+* per-process checkpoint logs (:mod:`repro.timemachine.checkpoint`)
+  whose checkpoints are copy-on-write incremental captures
+  (:mod:`repro.timemachine.cow`);
 * three checkpointing *policies*: communication-induced (the paper's
   choice, driven by speculations), periodic/uncoordinated, and a
   coordinated stop-the-world snapshot standing in for Chandy–Lamport

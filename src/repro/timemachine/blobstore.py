@@ -72,6 +72,7 @@ from repro.timemachine.cow import (
     DEFAULT_CHUNK_THRESHOLD,
     _CachedChunked,
     _CachedKey,
+    _serialize,
     assemble_chunked,
     chunk_items,
     chunk_kind,
@@ -374,7 +375,6 @@ class DurableCheckpointStore:
         run_id: str,
         chunk_threshold: Optional[int] = DEFAULT_CHUNK_THRESHOLD,
         chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-        order_elems: Optional[int] = None,
         keep_lines: Optional[int] = None,
         flush_mode: str = "sync",
         flush_queue_bytes: int = DEFAULT_FLUSH_QUEUE_BYTES,
@@ -394,7 +394,6 @@ class DurableCheckpointStore:
         self.blobs = BlobStore(self.root)
         self.chunk_threshold = chunk_threshold
         self.chunk_elems = chunk_elems
-        self.order_elems = order_elems if order_elems is not None else chunk_elems * 8
         self.keep_lines = keep_lines
         self.run_dir = self.root / "runs" / run_id
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -557,27 +556,17 @@ class DurableCheckpointStore:
         self.commit_pickled_bytes += flushed["pickled_bytes"]
         self.commit_hashed_bytes += flushed["hashed_bytes"]
 
-    def _pickle_chunk(self, key: str, value: Any) -> bytes:
-        try:
-            return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise CheckpointError(
-                f"state key {key!r} is not serializable for the durable store: {exc}"
-            ) from exc
-
     def _chunk_value(self, key: Any, value: Any, flushed: Dict[str, int]):
         """Chunk and pickle one state value the way a COW capture would."""
         kind = chunk_kind(value, self.chunk_threshold)
         if kind is None:
             kind = "whole"
-            blobs = [self._pickle_chunk(key, value)]
+            blobs = [_serialize(key, value)]
             order_blobs: List[bytes] = []
         else:
-            value_chunks, order_chunks = chunk_items(
-                kind, value, self.chunk_elems, self.order_elems
-            )
-            blobs = [self._pickle_chunk(key, chunk) for chunk in value_chunks]
-            order_blobs = [self._pickle_chunk(key, chunk) for chunk in order_chunks]
+            value_chunks, order_chunks = chunk_items(kind, value, self.chunk_elems)
+            blobs = [_serialize(key, chunk) for chunk in value_chunks]
+            order_blobs = [_serialize(key, chunk) for chunk in order_chunks]
         flushed["pickled_bytes"] += sum(len(blob) for blob in blobs + order_blobs)
         return (
             key,

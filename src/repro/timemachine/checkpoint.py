@@ -4,10 +4,11 @@ One checkpoint is one copy: :meth:`CheckpointStore.capture` takes a
 single copy-on-write capture of the process state into the store's
 :class:`~repro.timemachine.cow.CowPageStore`, and the logged
 :class:`~repro.dsim.process.ProcessCheckpoint` references it.  The log
-and the page store's chains therefore hold the same checkpoints in the
-same order, and every way a checkpoint leaves the log (a commit's
-:meth:`~CheckpointStore.drop_before`, a resolved speculation's
-:meth:`~CheckpointStore.release`) releases its pages too.
+is the only record of which captures are live; the page store only
+counts page references.  A checkpoint leaves the log by exactly two
+exits, a commit's :meth:`~CheckpointStore.drop_before` and a resolved
+speculation's :meth:`~CheckpointStore.release`, and each hands the
+capture straight to :meth:`~repro.timemachine.cow.CowPageStore.release`.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ class LocalCheckpointLog:
     """The ordered history of one process's local checkpoints.
 
     Checkpoints are kept in capture order; ``sequence`` numbers come from
-    the process itself and are strictly increasing.  The log can be
-    truncated from the front (garbage collection after a committed
-    recovery line) or from the back (discarding checkpoints that are in
-    the future of a rollback).
+    the process itself and are strictly increasing.  Checkpoints leave
+    only through the owning :class:`CheckpointStore`, which releases
+    their pages as they go.
     """
 
-    def __init__(self, pid: str, capacity: Optional[int] = None) -> None:
+    def __init__(self, pid: str) -> None:
         self.pid = pid
-        self.capacity = capacity
         self._checkpoints: List[ProcessCheckpoint] = []
 
     def add(self, checkpoint: ProcessCheckpoint) -> ProcessCheckpoint:
@@ -66,8 +65,6 @@ class LocalCheckpointLog:
         if self._checkpoints and checkpoint.sequence <= self._checkpoints[-1].sequence:
             checkpoint.sequence = self._checkpoints[-1].sequence + 1
         self._checkpoints.append(checkpoint)
-        if self.capacity is not None and len(self._checkpoints) > self.capacity:
-            self._checkpoints.pop(0)
         return checkpoint
 
     def __len__(self) -> int:
@@ -109,18 +106,6 @@ class LocalCheckpointLog:
             if checkpoint.time <= time:
                 return checkpoint
         return None
-
-    def drop_after(self, sequence: int) -> int:
-        """Discard checkpoints with a sequence strictly greater than ``sequence``."""
-        before = len(self._checkpoints)
-        self._checkpoints = [c for c in self._checkpoints if c.sequence <= sequence]
-        return before - len(self._checkpoints)
-
-    def drop_before(self, sequence: int) -> int:
-        """Garbage-collect checkpoints with a sequence strictly smaller than ``sequence``."""
-        before = len(self._checkpoints)
-        self._checkpoints = [c for c in self._checkpoints if c.sequence >= sequence]
-        return before - len(self._checkpoints)
 
     def discard(self, checkpoint: ProcessCheckpoint) -> bool:
         """Remove ``checkpoint`` from the log; False when it is not held."""
@@ -221,9 +206,7 @@ class CheckpointStore:
         if log is None:
             return 0
         dropped = [c for c in log if c.sequence < sequence and c not in self._held]
-        for checkpoint in dropped:
-            log.discard(checkpoint)
-        return self._release(dropped)
+        return sum(self._release(log, checkpoint) for checkpoint in dropped)
 
     def hold(self, checkpoint: ProcessCheckpoint) -> ProcessCheckpoint:
         """Keep ``checkpoint`` restorable across commits until :meth:`release`."""
@@ -241,15 +224,15 @@ class CheckpointStore:
         if self._committed.get(checkpoint.pid) == checkpoint.sequence:
             return 0
         log = self._logs.get(checkpoint.pid)
-        if log is None or not log.discard(checkpoint):
+        if log is None:
             return 0
-        return self._release([checkpoint])
+        return self._release(log, checkpoint)
 
-    def _release(self, checkpoints: List[ProcessCheckpoint]) -> int:
-        freed = 0
-        for checkpoint in checkpoints:
-            if checkpoint.cow is not None:
-                freed += self.cow.drop_checkpoint(checkpoint.pid, checkpoint.cow.sequence)
+    def _release(self, log: LocalCheckpointLog, checkpoint: ProcessCheckpoint) -> int:
+        """The one exit: take ``checkpoint`` out of ``log`` and release its capture."""
+        if not log.discard(checkpoint) or checkpoint.cow is None:
+            return 0
+        freed = self.cow.release(checkpoint.cow)
         self.pages_freed += freed
         return freed
 
@@ -277,6 +260,3 @@ class CheckpointStore:
 
     def total_bytes(self) -> int:
         return sum(log.total_bytes() for log in self._logs.values())
-
-    def clear(self) -> None:
-        self._logs.clear()

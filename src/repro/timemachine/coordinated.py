@@ -39,9 +39,6 @@ class CoordinatedSnapshot:
     def consistent(self) -> bool:
         return is_consistent(self.global_checkpoint.checkpoints)
 
-    def in_flight_for(self, dst: str) -> List[Message]:
-        return [message for message in self.in_flight if message.dst == dst]
-
 
 class CoordinatedSnapshotter:
     """Takes coordinated snapshots of a cluster on demand or periodically."""

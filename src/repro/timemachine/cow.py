@@ -53,12 +53,14 @@ The capture *is* the checkpoint: the Time Machine's
 when a rollback, the Healer or the Investigator reads it, so no deep
 copy is taken beside the capture.
 
-Garbage collection is incremental: every page carries a reference count
-(one per checkpoint that references it), so dropping old checkpoints
-releases exactly their newly unreferenced pages in time proportional to
-the dropped checkpoints — not to the whole store.  Committing a
-recovery line drops every checkpoint older than its members
-(:meth:`repro.timemachine.checkpoint.CheckpointStore.drop_before`).
+The store keeps no history of its own.  Which captures are live is the
+business of the checkpoint log that holds them
+(:class:`repro.timemachine.checkpoint.CheckpointStore`); the store only
+counts references: every page carries one per capture that references
+it, and :meth:`CowPageStore.release` drops one capture's references,
+freeing exactly its newly unreferenced pages in time proportional to
+that capture, not to the whole store.  A released capture refuses to
+restore, even while other captures keep its pages alive.
 
 The claim-4.2-cow benchmark compares the bytes written per checkpoint by
 this store against full deep-copy checkpoints across mutation ratios;
@@ -89,6 +91,10 @@ DEFAULT_CHUNK_THRESHOLD = 256
 #: Target element count per chunk / hash bucket of a chunked container.
 DEFAULT_CHUNK_ELEMS = 32
 
+#: A dict's key-order vector holds small scalars, so its chunks pack this
+#: many times ``chunk_elems`` keys.
+ORDER_ELEMS_FACTOR = 8
+
 #: Value types whose equality is a safe substitute for byte-identical
 #: pickles (exact type match required — a bool is not an int here, and a
 #: str subclass may pickle extra state).  Tuples and frozensets built
@@ -104,22 +110,14 @@ _WHOLE_STATE = object()
 _MISSING = object()
 
 
-def _serialize_state(state: Dict[str, Any]) -> bytes:
-    """Stable serialization of a whole state dictionary (full-copy baseline)."""
-    try:
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # unpicklable application state is a hard error
-        raise CheckpointError(f"process state is not serializable: {exc}") from exc
-
-
-def _serialize_value(key: str, value: Any) -> bytes:
-    """Stable serialization of one state value (or one chunk of it)."""
+def _serialize(key: Any, value: Any) -> bytes:
+    """Stable serialization of one state value, one chunk of it, or (under
+    ``_WHOLE_STATE``) a whole state dictionary."""
     try:
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise CheckpointError(
-            f"process state key {key!r} is not serializable: {exc}"
-        ) from exc
+    except Exception as exc:  # unpicklable application state is a hard error
+        what = "process state" if key is _WHOLE_STATE else f"process state key {key!r}"
+        raise CheckpointError(f"{what} is not serializable: {exc}") from exc
 
 
 def _paginate(blob: bytes, page_size: int) -> List[bytes]:
@@ -252,9 +250,7 @@ def chunk_kind(
     return None
 
 
-def chunk_items(
-    kind: str, value: Any, chunk_elems: int, order_elems: int
-) -> Tuple[List[list], List[list]]:
+def chunk_items(kind: str, value: Any, chunk_elems: int) -> Tuple[List[list], List[list]]:
     """Split ``value`` into (value chunks, order chunks) of plain lists.
 
     The returned chunk lists are what gets pickled — one blob per chunk
@@ -275,6 +271,7 @@ def chunk_items(
         for key, item in value.items():
             buckets[_bucket_index(key, buckets_count)].append((key, item))
         keys = list(value.keys())
+        order_elems = chunk_elems * ORDER_ELEMS_FACTOR
         order = [
             keys[offset : offset + order_elems]
             for offset in range(0, len(keys), order_elems)
@@ -355,11 +352,11 @@ class CowCheckpoint:
     only references them, which is what makes checkpoints after small
     mutations cheap.  The page-level view (``page_hashes``) is derived
     from ``entries`` on demand, so a capture builds nothing it does not
-    need.
+    need.  Once :meth:`CowPageStore.release` has dropped its references
+    the capture is ``released`` and refuses to restore.
     """
 
     pid: str
-    sequence: int
     time: float
     #: the capture's cached entry per state key, in the state's iteration
     #: order: the exact pickled bytes (and, once learned, durable
@@ -378,6 +375,8 @@ class CowCheckpoint:
     extra: Dict[str, Any] = field(default_factory=dict)
     #: the page store holding this checkpoint's pages
     store: Optional["CowPageStore"] = field(default=None, repr=False)
+    #: set by :meth:`CowPageStore.release`
+    released: bool = False
 
     @property
     def whole(self) -> bool:
@@ -408,17 +407,17 @@ class CowCheckpoint:
     def restore(self) -> Dict[str, Any]:
         """A fresh, independent copy of the captured state (see :meth:`CowPageStore.restore`)."""
         if self.store is None:
-            raise CheckpointError(f"checkpoint {self.sequence} of {self.pid!r} has no page store")
+            raise CheckpointError(f"checkpoint of {self.pid!r} at t={self.time} has no page store")
         return self.store.restore(self)
 
 
 class CowPageStore:
-    """A content-addressed page store with per-process checkpoint chains.
+    """A content-addressed page store that only counts references.
 
-    Pages are reference-counted: each checkpoint referencing a page holds
-    one reference per occurrence, so garbage collection after
-    :meth:`drop_before` releases pages incrementally instead of
-    re-deriving the full reachable set.
+    Pages are reference-counted: each capture referencing a page holds
+    one reference per occurrence.  The store keeps no list of captures;
+    whoever holds a capture hands it back through :meth:`release`, which
+    frees the pages no other capture references.
 
     ``chunk_threshold``/``chunk_elems`` control the delta-chunked
     container layout (:func:`chunk_items`); ``chunk_threshold=None``
@@ -431,7 +430,6 @@ class CowPageStore:
         page_size: int = DEFAULT_PAGE_SIZE,
         chunk_threshold: Optional[int] = DEFAULT_CHUNK_THRESHOLD,
         chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-        order_elems: Optional[int] = None,
     ) -> None:
         if page_size <= 0:
             raise ValueError("page_size must be positive")
@@ -442,14 +440,12 @@ class CowPageStore:
         self.page_size = page_size
         self.chunk_threshold = chunk_threshold
         self.chunk_elems = chunk_elems
-        # key-order vectors hold small scalars, so they pack denser
-        self.order_elems = order_elems if order_elems is not None else chunk_elems * 8
         self._pages: Dict[str, bytes] = {}
         self._page_refs: Dict[str, int] = {}
-        self._checkpoints: Dict[str, List[CowCheckpoint]] = {}
-        self._sequence: Dict[str, int] = {}
+        #: summed ``total_bytes`` of the captures not yet released
+        self._logical_bytes = 0
         #: pid -> key -> last captured version (the dirty-tracking cache);
-        #: it is the newest checkpoint's ``entries`` dict itself
+        #: it is the newest capture's ``entries`` dict itself
         self._key_cache: Dict[str, Dict[Any, Union[_CachedKey, _CachedChunked]]] = {}
         #: lifetime counters for the capture hot path
         self.hashed_bytes_total = 0
@@ -474,110 +470,61 @@ class CowPageStore:
         one level (e.g. two keys whose *elements* are shared) is not
         detected and restores as copies.
         """
-        if _has_top_level_aliasing(state):
-            return self._capture_whole(pid, state, time, extra)
         cache = self._key_cache.get(pid, {})
+        self._cap_hashed = self._cap_serialized = self._cap_clean = 0
         entries: Dict[Any, Union[_CachedKey, _CachedChunked]] = {}
-        total_bytes = 0
-        new_bytes = 0
-        new_pages = 0
-        self._cap_hashed = 0
-        self._cap_serialized = 0
-
-        for key, value in state.items():
-            cached = cache.get(key)
-            kind = chunk_kind(value, self.chunk_threshold)
-            if kind is None:
-                entry = self._capture_plain(
-                    cached if type(cached) is _CachedKey else None, key, value
-                )
-                total_bytes += len(entry.blob)
-                new_bytes, new_pages = self._reference_pages(entry, new_bytes, new_pages)
-            else:
-                entry = self._capture_chunked(
-                    cached if type(cached) is _CachedChunked and cached.kind == kind else None,
-                    key,
-                    kind,
-                    value,
-                )
-                for chunk in entry.chunks + entry.order:
-                    total_bytes += len(chunk.blob)
-                    new_bytes, new_pages = self._reference_pages(chunk, new_bytes, new_pages)
-            entries[key] = entry
-
+        if _has_top_level_aliasing(state):
+            entries[_WHOLE_STATE] = self._capture_value(
+                cache.get(_WHOLE_STATE), _WHOLE_STATE, state, state
+            )
+        else:
+            for key, value in state.items():
+                cached = cache.get(key)
+                kind = chunk_kind(value, self.chunk_threshold)
+                if kind is None:
+                    entries[key] = self._capture_value(
+                        cached if type(cached) is _CachedKey else None, key, value, value
+                    )
+                else:
+                    entries[key] = self._capture_chunked(
+                        cached if type(cached) is _CachedChunked and cached.kind == kind else None,
+                        key,
+                        kind,
+                        value,
+                    )
         self._key_cache[pid] = entries
-        return self._record(
-            pid, time, entries, total_bytes, new_bytes, new_pages,
-            self._cap_hashed, self._cap_serialized, extra,
-        )
-
-    def _record(
-        self,
-        pid: str,
-        time: float,
-        entries: Dict[Any, Union[_CachedKey, _CachedChunked]],
-        total_bytes: int,
-        new_bytes: int,
-        new_pages: int,
-        hashed_bytes: int,
-        serialized_bytes: int,
-        extra: Dict[str, Any],
-    ) -> CowCheckpoint:
-        """Append one capture to ``pid``'s chain and the lifetime counters."""
-        self.hashed_bytes_total += hashed_bytes
-        self.serialized_bytes_total += serialized_bytes
-        sequence = self._sequence.get(pid, 0) + 1
-        self._sequence[pid] = sequence
-        checkpoint = CowCheckpoint(
+        total_bytes, new_bytes, new_pages = self._reference_pages(entries)
+        self._logical_bytes += total_bytes
+        self.hashed_bytes_total += self._cap_hashed
+        self.serialized_bytes_total += self._cap_serialized
+        return CowCheckpoint(
             pid=pid,
-            sequence=sequence,
             time=time,
             entries=entries,
             total_bytes=total_bytes,
             new_bytes=new_bytes,
             new_pages=new_pages,
-            hashed_bytes=hashed_bytes,
-            serialized_bytes=serialized_bytes,
+            hashed_bytes=self._cap_hashed,
+            serialized_bytes=self._cap_serialized,
             extra=extra,
             store=self,
         )
-        self._checkpoints.setdefault(pid, []).append(checkpoint)
-        return checkpoint
 
-    def _capture_plain(
-        self, cached: Optional[_CachedKey], key: Any, value: Any
+    def _capture_value(
+        self, cached: Optional[_CachedKey], key: Any, value: Any, scalar: Any
     ) -> _CachedKey:
-        """Dirty tracking for one unchunked value: scalar compare, then byte compare."""
-        if cached is not None and cached.value is not _OPAQUE and _scalars_equal(cached.value, value):
-            return cached  # clean scalar: no pickling, no hashing
-        blob = _serialize_value(key, value)
-        self._cap_serialized += len(blob)
-        if cached is not None and blob == cached.blob:
-            return cached  # unchanged bytes: reuse hashes, skip hashing
-        hashes: List[str] = []
-        for page in _paginate(blob, self.page_size):
-            self._cap_hashed += len(page)
-            hashes.append(_page_hash(page))
-        return _CachedKey(
-            value=value if _trusted_scalar(value) else _OPAQUE,
-            blob=blob,
-            hashes=hashes,
-        )
+        """Dirty tracking for one blob: scalar compare, then byte compare.
 
-    def _capture_chunk(
-        self, cached: Optional[_CachedKey], key: Any, items: list
-    ) -> _CachedKey:
-        """Dirty tracking for one chunk: its item tuple plays the scalar role."""
-        self.chunks_captured_total += 1
-        items_t = tuple(items)
-        if (
-            cached is not None
-            and cached.value is not _OPAQUE
-            and _scalars_equal(cached.value, items_t)
-        ):
-            self.chunks_clean_total += 1
-            return cached  # clean chunk: no pickling, no hashing
-        blob = _serialize_value(key, items)
+        ``value`` is what gets pickled: a state value, one chunk of a
+        chunked container, or a whole aliased state.  ``scalar`` stands
+        in for it in the equality check (a chunk's item tuple).  A clean
+        trusted scalar costs no pickling or hashing; unchanged bytes
+        reuse the cached page hashes without re-hashing.
+        """
+        if cached is not None and cached.value is not _OPAQUE and _scalars_equal(cached.value, scalar):
+            self._cap_clean += 1
+            return cached
+        blob = _serialize(key, value)
         self._cap_serialized += len(blob)
         if cached is not None and blob == cached.blob:
             return cached
@@ -586,7 +533,7 @@ class CowPageStore:
             self._cap_hashed += len(page)
             hashes.append(_page_hash(page))
         return _CachedKey(
-            value=items_t if _trusted_scalar(items_t) else _OPAQUE,
+            value=scalar if _trusted_scalar(scalar) else _OPAQUE,
             blob=blob,
             hashes=hashes,
         )
@@ -601,70 +548,55 @@ class CowPageStore:
         count changed (the container roughly doubled) the misaligned
         chunks simply come out dirty.
         """
-        value_chunks, order_chunks = chunk_items(kind, value, self.chunk_elems, self.order_elems)
+        value_chunks, order_chunks = chunk_items(kind, value, self.chunk_elems)
         prior_chunks = cached.chunks if cached is not None else []
         prior_order = cached.order if cached is not None else []
+        clean = self._cap_clean
         chunks = [
-            self._capture_chunk(
-                prior_chunks[index] if index < len(prior_chunks) else None, key, items
+            self._capture_value(
+                prior_chunks[index] if index < len(prior_chunks) else None, key, items, tuple(items)
             )
             for index, items in enumerate(value_chunks)
         ]
         order = [
-            self._capture_chunk(
-                prior_order[index] if index < len(prior_order) else None, key, items
+            self._capture_value(
+                prior_order[index] if index < len(prior_order) else None, key, items, tuple(items)
             )
             for index, items in enumerate(order_chunks)
         ]
+        self.chunks_captured_total += len(chunks) + len(order)
+        self.chunks_clean_total += self._cap_clean - clean
         return _CachedChunked(kind=kind, chunks=chunks, order=order)
 
-    def _capture_whole(self, pid: str, state: Dict[str, Any], time: float, extra: Dict[str, Any]) -> CowCheckpoint:
-        """Whole-dict capture for aliased states (one entry under ``_WHOLE_STATE``).
+    def _reference_pages(
+        self, entries: Dict[Any, Union[_CachedKey, _CachedChunked]]
+    ) -> Tuple[int, int, int]:
+        """Add one reference per page of ``entries``, materializing missing pages.
 
-        Dirty tracking still applies at the whole-state granularity: if
-        the serialized bytes match the previous whole-state capture, the
-        cached page hashes are reused without re-hashing.
+        Returns the capture's total, new and new-page counts.  A clean
+        key's pages may have been freed since they were cached (every
+        capture that referenced them was released); they are re-derived
+        from the cached bytes rather than treated as a cache hit on
+        missing data.
         """
-        cache = self._key_cache.get(pid, {})
-        cached = cache.get(_WHOLE_STATE)
-        blob = _serialize_state(state)
-        hashed_bytes = 0
-        if isinstance(cached, _CachedKey) and blob == cached.blob:
-            entry = cached
-        else:
-            hashes: List[str] = []
-            for page in _paginate(blob, self.page_size):
-                hashed_bytes += len(page)
-                hashes.append(_page_hash(page))
-            entry = _CachedKey(value=_OPAQUE, blob=blob, hashes=hashes)
-        entries = {_WHOLE_STATE: entry}
-        self._key_cache[pid] = entries
-        new_bytes, new_pages = self._reference_pages(entry, 0, 0)
-        return self._record(
-            pid, time, entries, len(blob), new_bytes, new_pages, hashed_bytes, len(blob), extra
-        )
-
-    def _reference_pages(self, entry: _CachedKey, new_bytes: int, new_pages: int) -> tuple:
-        """Add one reference per page of ``entry``, materializing missing pages.
-
-        A clean key's pages may have been garbage-collected since they
-        were cached (the chain that referenced them was dropped); they
-        are re-derived from the cached bytes rather than treated as a
-        cache hit on missing data.
-        """
-        pages_by_hash = None
-        for digest in entry.hashes:
-            if digest not in self._pages:
-                if pages_by_hash is None:
-                    pages_by_hash = {
-                        _page_hash(page): page for page in _paginate(entry.blob, self.page_size)
-                    }
-                page = pages_by_hash[digest]
-                self._pages[digest] = page
-                new_bytes += len(page)
-                new_pages += 1
-            self._page_refs[digest] = self._page_refs.get(digest, 0) + 1
-        return new_bytes, new_pages
+        total_bytes = new_bytes = new_pages = 0
+        for entry in entries.values():
+            for blob_entry in (entry,) if type(entry) is _CachedKey else entry.chunks + entry.order:
+                total_bytes += len(blob_entry.blob)
+                pages_by_hash = None
+                for digest in blob_entry.hashes:
+                    if digest not in self._pages:
+                        if pages_by_hash is None:
+                            pages_by_hash = {
+                                _page_hash(page): page
+                                for page in _paginate(blob_entry.blob, self.page_size)
+                            }
+                        page = pages_by_hash[digest]
+                        self._pages[digest] = page
+                        new_bytes += len(page)
+                        new_pages += 1
+                    self._page_refs[digest] = self._page_refs.get(digest, 0) + 1
+        return total_bytes, new_bytes, new_pages
 
     # ------------------------------------------------------------------
     # restore
@@ -674,8 +606,14 @@ class CowPageStore:
 
         Every call unpickles from the page store, so each returned state
         is a fresh object graph no other caller holds — a restore needs
-        no defensive copy.
+        no defensive copy.  A released capture raises
+        :class:`~repro.errors.CheckpointError`, even when other captures
+        still hold its pages.
         """
+        if checkpoint.released:
+            raise CheckpointError(
+                f"checkpoint of {checkpoint.pid!r} at t={checkpoint.time} was released"
+            )
         state: Dict[str, Any] = {}
         for key, entry in checkpoint.entries.items():
             if type(entry) is _CachedKey:
@@ -696,18 +634,10 @@ class CowPageStore:
             blob = b"".join([self._pages[digest] for digest in entry.hashes])
         except KeyError as exc:
             raise CheckpointError(
-                f"page {exc.args[0]!r} referenced by checkpoint {checkpoint.sequence} "
-                f"of {checkpoint.pid!r} is missing from the store"
+                f"page {exc.args[0]!r} referenced by the checkpoint of {checkpoint.pid!r} "
+                f"at t={checkpoint.time} is missing from the store"
             ) from None
         return pickle.loads(blob)
-
-    def latest(self, pid: str) -> Optional[CowCheckpoint]:
-        chain = self._checkpoints.get(pid)
-        return chain[-1] if chain else None
-
-    def chain(self, pid: str) -> List[CowCheckpoint]:
-        """All incremental checkpoints of ``pid`` in capture order."""
-        return list(self._checkpoints.get(pid, ()))
 
     # ------------------------------------------------------------------
     # accounting
@@ -720,12 +650,8 @@ class CowPageStore:
         return len(self._pages)
 
     def logical_bytes(self) -> int:
-        """Sum of the full sizes of every checkpoint (what full copies would cost)."""
-        return sum(
-            checkpoint.total_bytes
-            for chain in self._checkpoints.values()
-            for checkpoint in chain
-        )
+        """Sum of the full sizes of every unreleased capture (what full copies would cost)."""
+        return self._logical_bytes
 
     def savings_ratio(self) -> float:
         """1 - stored/logical: how much the COW store saved versus full copies."""
@@ -737,40 +663,19 @@ class CowPageStore:
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
-    def drop_before(self, pid: str, sequence: int) -> int:
-        """Forget checkpoints of ``pid`` older than ``sequence``; returns pages freed.
+    def release(self, checkpoint: CowCheckpoint) -> int:
+        """Drop ``checkpoint``'s page references; returns pages freed.
 
-        Reference counts make this incremental: only the dropped
-        checkpoints' own references are released, so the cost is
-        proportional to what was dropped rather than to the whole store.
+        Only the pages no other capture references are freed, so the
+        cost is proportional to the released capture, not to the store.
+        Releasing a capture twice frees nothing.
         """
-        chain = self._checkpoints.get(pid, [])
-        dropped = [c for c in chain if c.sequence < sequence]
-        self._checkpoints[pid] = [c for c in chain if c.sequence >= sequence]
+        if checkpoint.released:
+            return 0
+        checkpoint.released = True
+        self._logical_bytes -= checkpoint.total_bytes
         freed = 0
-        for checkpoint in dropped:
-            freed += self._release_pages(checkpoint.page_hashes)
-        return freed
-
-    def drop_checkpoint(self, pid: str, sequence: int) -> int:
-        """Forget exactly one checkpoint of ``pid``; returns pages freed.
-
-        Releases only that checkpoint's references, leaving every other
-        checkpoint of the chain (e.g. periodic or communication-induced
-        ones interleaved with it) restorable.  Dropping an unknown
-        sequence is a no-op.
-        """
-        chain = self._checkpoints.get(pid, [])
-        for index, checkpoint in enumerate(chain):
-            if checkpoint.sequence == sequence:
-                del chain[index]
-                return self._release_pages(checkpoint.page_hashes)
-        return 0
-
-    def _release_pages(self, hashes: List[str]) -> int:
-        """Drop one reference per page hash; free pages that hit zero."""
-        freed = 0
-        for digest in hashes:
+        for digest in checkpoint.page_hashes:
             remaining = self._page_refs.get(digest, 0) - 1
             if remaining > 0:
                 self._page_refs[digest] = remaining
@@ -783,4 +688,4 @@ class CowPageStore:
 
 def full_checkpoint_bytes(state: Dict[str, Any]) -> int:
     """Cost of a traditional full checkpoint of ``state`` (for comparisons)."""
-    return len(_serialize_state(state))
+    return len(_serialize(_WHOLE_STATE, state))

@@ -98,12 +98,6 @@ class RecoveryLine:
         """How many checkpoints, summed over processes, were discarded to reach the line."""
         return sum(self.rolled_back_steps.values())
 
-    def earliest_time(self) -> float:
-        return min((c.time for c in self.checkpoints.values()), default=0.0)
-
-    def latest_time(self) -> float:
-        return max((c.time for c in self.checkpoints.values()), default=0.0)
-
     def scroll_position(self) -> Optional[int]:
         """Scroll end position the line corresponds to, when recorded.
 

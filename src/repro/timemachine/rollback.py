@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.dsim.process import ProcessCheckpoint
 from repro.errors import RecoveryLineError
 from repro.timemachine.recovery_line import RecoveryLine, is_consistent
 
@@ -26,10 +25,6 @@ class RollbackResult:
     def max_rollback_distance(self) -> float:
         """Largest amount of simulated time any process lost to the rollback."""
         return max(self.rollback_distance.values(), default=0.0)
-
-    @property
-    def total_rollback_distance(self) -> float:
-        return sum(self.rollback_distance.values())
 
 
 class RollbackManager:
@@ -270,17 +265,6 @@ class RollbackManager:
             return False
         self._flush_scroll()
         return True
-
-    def rollback_single(self, checkpoint: ProcessCheckpoint) -> RollbackResult:
-        """Roll back a single process (a degenerate one-process recovery line)."""
-        line = RecoveryLine(
-            checkpoints={checkpoint.pid: checkpoint},
-            rolled_back_steps={checkpoint.pid: 0},
-            iterations=1,
-            domino_effect=False,
-            label=f"single-{checkpoint.pid}",
-        )
-        return self.rollback(line, verify=False)
 
     @property
     def rollbacks_performed(self) -> int:

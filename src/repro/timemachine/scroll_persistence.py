@@ -214,10 +214,6 @@ class ScrollPersistence:
         }
         _atomic_write_json(self.sidecar_path, sidecar)
 
-    def referenced_blobs(self) -> Set[str]:
-        """Blob addresses the current sidecar keeps reachable."""
-        return sidecar_blobs(_read_sidecar(self.sidecar_path))
-
     # ------------------------------------------------------------------
     # read path (resume runs without the writing process)
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.dsim.hooks import RuntimeHook
 from repro.dsim.process import ProcessCheckpoint
@@ -188,12 +188,6 @@ class SpeculationManager(RuntimeHook):
     def active_for(self, pid: str) -> Set[str]:
         """Ids of the speculations ``pid`` is currently inside."""
         return set(self._active_by_pid.get(pid, set()))
-
-    def all_speculations(self) -> List[Speculation]:
-        return list(self._speculations.values())
-
-    def active_speculations(self) -> List[Speculation]:
-        return [s for s in self._speculations.values() if s.active]
 
     # ------------------------------------------------------------------
     # hook notifications: taint propagation and absorption

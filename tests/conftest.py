@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -122,6 +123,20 @@ def make_cluster(factories, seed: int = 0, **config_kwargs) -> Cluster:
     for pid, factory in factories.items():
         cluster.add_process(pid, factory)
     return cluster
+
+
+def assert_pages_match_log(store) -> None:
+    """The page store holds exactly what ``store``'s logs reference.
+
+    Every page's reference count equals a recount over the logged
+    captures, and ``logical_bytes`` equals their summed sizes: the log
+    is the only record of which captures are live.
+    """
+    captures = [c.cow for pid in store.pids() for c in store.log_for(pid) if c.cow is not None]
+    recount = Counter(digest for capture in captures for digest in capture.page_hashes)
+    assert store.cow._page_refs == dict(recount)
+    assert store.cow.stored_pages() == len(recount)
+    assert store.cow.logical_bytes() == sum(capture.total_bytes for capture in captures)
 
 
 @pytest.fixture

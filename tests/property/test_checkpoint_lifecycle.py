@@ -20,12 +20,10 @@ speculations, commits and rollbacks, and after every step checks:
 A speculation that began before a commit may abort after it, rolling its
 members back past the committed line; the log then no longer explains
 their states and no consistent recovery line may exist.  The commit and
-rollback rules change nothing in that case (ROADMAP item 1 tracks it).
+rollback rules change nothing in that case (an open question in ROADMAP.md).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -40,6 +38,8 @@ from repro.api import apps as registry
 from repro.dsim.cluster import Cluster, ClusterConfig
 from repro.errors import RecoveryLineError
 from repro.timemachine.time_machine import TimeMachine
+
+from tests.conftest import assert_pages_match_log
 
 APPS = ["bank", "kvstore", "token_ring", "two_phase_commit"]
 
@@ -108,11 +108,7 @@ class CheckpointLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def page_refcounts_match_the_logged_captures(self):
-        captures = [c.cow for pid in self.store.pids() for c in self.store.log_for(pid)]
-        recount = Counter(digest for capture in captures for digest in capture.page_hashes)
-        assert self.store.cow._page_refs == dict(recount)
-        assert self.store.cow.stored_pages() == len(recount)
-        assert self.store.cow.logical_bytes() == sum(c.total_bytes for c in captures)
+        assert_pages_match_log(self.store)
 
     @invariant()
     def commits_and_speculations_keep_what_they_promise(self):

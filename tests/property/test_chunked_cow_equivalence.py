@@ -146,12 +146,13 @@ def test_capture_does_not_alias_live_state(size, program):
 def test_gc_to_newest_checkpoint_keeps_it_restorable(size, program):
     store = CowPageStore(page_size=128, chunk_threshold=8, chunk_elems=4)
     state = initial_state(size)
-    store.capture("p", state, 0.0)
-    last = None
+    older = [store.capture("p", state, 0.0)]
     for step, mutation in enumerate(program, start=1):
         apply_mutation(state, mutation)
-        last = store.capture("p", state, float(step))
-    store.drop_before("p", last.sequence)
+        older.append(store.capture("p", state, float(step)))
+    last = older.pop()
+    for checkpoint in older:
+        store.release(checkpoint)
     restored = store.restore(last)
     assert restored == state
     assert list(restored["table"]) == list(state["table"])

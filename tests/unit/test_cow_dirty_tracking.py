@@ -9,7 +9,7 @@ from repro.timemachine.checkpoint import CheckpointStore
 from repro.timemachine.cow import CowPageStore
 from repro.timemachine.speculation import SpeculationManager
 
-from tests.conftest import PingPong, make_cluster
+from tests.conftest import PingPong, assert_pages_match_log, make_cluster
 
 
 class TestDirtyTracking:
@@ -261,7 +261,7 @@ class TestChunkedCapture:
         first = store.capture("a", state, 0.0)
         state["table"]["k0007"] = "mutated"
         second = store.capture("a", state, 1.0)
-        freed = store.drop_before("a", second.sequence)
+        freed = store.release(first)
         assert freed >= 1  # the stale bucket's page(s)
         assert store.restore(second) == state
         with pytest.raises(CheckpointError):
@@ -317,9 +317,9 @@ class TestAliasedStates:
 
 
 class TestRefcountGC:
-    def test_drop_checkpoint_leaves_interleaved_chain_restorable(self):
+    def test_release_leaves_interleaved_captures_restorable(self):
         # the speculation manager shares the store with periodic
-        # checkpointing: dropping the speculation's own checkpoint must
+        # checkpointing: releasing the speculation's own capture must
         # not take the periodic ones with it
         store = CowPageStore(page_size=32)
         state = {"hot": "v1"}
@@ -328,19 +328,36 @@ class TestRefcountGC:
         spec_entry = store.capture("p", state, 1.0)
         state["hot"] = "v3"
         later = store.capture("p", state, 2.0)
-        freed = store.drop_checkpoint("p", spec_entry.sequence)
+        freed = store.release(spec_entry)
         assert freed >= 1
         assert store.restore(periodic) == {"hot": "v1"}
         assert store.restore(later) == {"hot": "v3"}
         with pytest.raises(CheckpointError):
             store.restore(spec_entry)
 
-    def test_drop_checkpoint_unknown_sequence_is_noop(self):
+    def test_release_twice_frees_nothing(self):
         store = CowPageStore(page_size=32)
-        checkpoint = store.capture("p", {"v": 1}, 0.0)
-        assert store.drop_checkpoint("p", checkpoint.sequence + 5) == 0
-        assert store.drop_checkpoint("other", 1) == 0
-        assert store.restore(checkpoint) == {"v": 1}
+        first = store.capture("p", {"v": "same" * 50}, 0.0)
+        second = store.capture("p", {"v": "same" * 50}, 1.0)
+        logical = store.logical_bytes()
+        assert store.release(first) == 0  # second still references every page
+        assert store.release(first) == 0  # and keeps its own references
+        assert store.logical_bytes() == logical - first.total_bytes
+        assert store.restore(second) == {"v": "same" * 50}
+        assert store.release(second) > 0
+
+    def test_released_capture_refuses_to_restore_while_its_pages_live_on(self):
+        store = CowPageStore(page_size=32)
+        state = {"v": "same" * 50}
+        first = store.capture("a", state, 0.0)
+        second = store.capture("a", state, 1.0)
+        store.release(first)
+        assert first.released and not second.released
+        with pytest.raises(CheckpointError, match="released"):
+            store.restore(first)
+        with pytest.raises(CheckpointError, match="released"):
+            first.restore()
+        assert store.restore(second) == state
 
     def test_speculation_resolve_spares_other_policies_checkpoints(self):
         # A periodic-policy checkpoint taken before the speculation must
@@ -356,20 +373,19 @@ class TestRefcountGC:
         manager.commit(spec.spec_id)
         assert store.pages_freed >= 0
         assert periodic.state == process.state
-        # the speculation's own entry checkpoint is gone from the log and the chain
+        # the speculation's own entry checkpoint is gone from the log and released
         assert store.log_for("p0").all() == [periodic]
-        remaining = [c.sequence for c in store.cow.chain("p0")]
-        assert spec.checkpoints["p0"].cow.sequence not in remaining
-        assert periodic.cow.sequence in remaining
+        assert spec.checkpoints["p0"].cow.released and not periodic.cow.released
+        assert_pages_match_log(store)
 
-    def test_drop_before_frees_only_unshared_pages(self):
+    def test_release_frees_only_unshared_pages(self):
         store = CowPageStore(page_size=32)
         state = {"stable": "s" * 200, "hot": "v1"}
         first = store.capture("a", state, 0.0)
         state["hot"] = "v2"
         second = store.capture("a", state, 1.0)
         pages_before = store.stored_pages()
-        freed = store.drop_before("a", second.sequence)
+        freed = store.release(first)
         # only the old "hot" page goes; the shared "stable" pages survive
         assert freed >= 1
         assert store.stored_pages() == pages_before - freed
@@ -377,11 +393,11 @@ class TestRefcountGC:
         with pytest.raises(CheckpointError):
             store.restore(first)
 
-    def test_restore_after_dropping_entire_chain(self):
+    def test_restore_after_releasing_every_capture(self):
         store = CowPageStore(page_size=32)
         state = {"v": "x" * 100}
         last = store.capture("a", state, 0.0)
-        freed = store.drop_before("a", last.sequence + 1)
+        freed = store.release(last)
         assert freed > 0
         with pytest.raises(CheckpointError):
             store.restore(last)
@@ -390,17 +406,17 @@ class TestRefcountGC:
         store = CowPageStore(page_size=32)
         state = {"v": "x" * 100}
         last = store.capture("a", state, 0.0)
-        store.drop_before("a", last.sequence + 1)  # frees every page
+        store.release(last)  # frees every page
         # the key is clean in the cache, but its pages are gone: capture
         # must put them back rather than reference missing pages
         fresh = store.capture("a", state, 1.0)
         assert store.restore(fresh) == state
 
-    def test_drop_before_is_per_pid(self):
+    def test_release_is_per_capture(self):
         store = CowPageStore(page_size=32)
         a_ckpt = store.capture("a", {"v": "a" * 100}, 0.0)
         b_ckpt = store.capture("b", {"v": "b" * 100}, 0.0)
-        store.drop_before("a", a_ckpt.sequence + 1)
+        store.release(a_ckpt)
         assert store.restore(b_ckpt) == {"v": "b" * 100}
         with pytest.raises(CheckpointError):
             store.restore(a_ckpt)
@@ -410,10 +426,10 @@ class TestRefcountGC:
         state = {"v": "same" * 50}
         first = store.capture("a", state, 0.0)
         second = store.capture("a", state, 1.0)  # same pages, +1 ref each
-        freed = store.drop_before("a", second.sequence)
+        freed = store.release(first)
         assert freed == 0  # second still references every page
         assert store.restore(second) == state
-        freed = store.drop_before("a", second.sequence + 1)
+        freed = store.release(second)
         assert freed > 0
 
     def test_interleaved_capture_and_gc_accounting_stays_exact(self):
@@ -424,7 +440,8 @@ class TestRefcountGC:
             state[f"k{round_index % 10}"] = f"v{round_index}" * 10
             checkpoints.append(store.capture("a", state, float(round_index)))
             if round_index % 3 == 0:
-                store.drop_before("a", checkpoints[-2].sequence)
+                for older in checkpoints[:-2]:
+                    store.release(older)  # a second release is a no-op
         latest = checkpoints[-1]
         assert store.restore(latest) == state
         # stored never exceeds logical (the COW invariant)
