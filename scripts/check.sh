@@ -56,6 +56,16 @@ guard 'repro\.fuzz\.(generate|coverage|corpus|shrink|driver)' src/repro/fuzz "$A
 guard 'repro\.(dsim|apps)' src "examples benchmarks" \
     'repro.api (apps.build, Process/handler re-exports, Scenario/Experiment)'
 
+# ids belong to a run (Cluster.msg_ids, Scroll.seqs): no process-global
+# counter, and no reset function working around one, may come back
+counters=$(grep -rnE "^_\w+ *= *itertools\.count|^def reset_" src || true)
+if [[ -n "$counters" ]]; then
+    echo "process-global counter in src/: a run must own its ids" >&2
+    echo "$counters" >&2
+    exit 1
+fi
+echo "counter guard: no process-global counters or reset functions in src/"
+
 if ! command -v make >/dev/null 2>&1; then
     echo "scripts/check.sh requires make; run the Makefile 'verify' steps manually:" >&2
     grep -A2 '^verify:' Makefile >&2

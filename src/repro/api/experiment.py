@@ -26,6 +26,7 @@ from repro.api.scenario import Scenario
 from repro.core.fixd import FixD, FixDConfig
 from repro.dsim.backend import make_backend
 from repro.dsim.cluster import Cluster, ClusterConfig
+from repro.dsim.message import Message
 from repro.errors import ScenarioError, ScenarioExecutionError
 from repro.scroll.interceptor import RecordingPolicy
 from repro.timemachine.time_machine import TimeMachineConfig
@@ -221,7 +222,7 @@ class ResumedRun:
     scroll: Any = None
     #: the persisted-scroll sidecar manifest (None: state-only resume)
     sidecar: Any = None
-    #: the persisted in-flight snapshot ({"deliveries": ..., "timers": ...})
+    #: the persisted in-flight snapshot ({"events": ..., "fault_hits": ..., ...})
     pending: Any = None
     #: per-pid ForwardReplay reports from the replay-forward pass
     replays: Any = None
@@ -242,15 +243,12 @@ class ResumedRun:
 
         Re-attaches a fresh FixD (recording onto the rebuilt Scroll, so
         new entries append past the persisted history and keep flushing
-        to the same durable run), rebases the entry-seq and message-id
-        counters past the persisted frontiers, re-injects the in-flight
-        deliveries and timers captured at the last flush, re-arms the
-        remaining fault schedule, and runs until ``until`` (default: the
-        scenario's own bound).
+        to the same durable run), re-injects the in-flight deliveries
+        and timers captured at the last flush, re-arms the remaining
+        fault schedule, and runs until ``until`` (default: the
+        scenario's own bound).  New entry seqs and message ids continue
+        from the persisted frontiers (see :func:`resume_run`).
         """
-        from repro.dsim.message import Message, reset_message_ids
-        from repro.scroll.entry import reset_entry_seq
-
         if self._continued:
             raise ScenarioError(
                 f"resumed run {self.run_id!r} was already continued; "
@@ -261,8 +259,6 @@ class ResumedRun:
         flush_time = 0.0
         if self.sidecar is not None:
             flush_time = float(self.sidecar.get("flush_time", 0.0))
-            reset_entry_seq(int(self.sidecar.get("seq_next", 1)))
-            reset_message_ids(int(self.sidecar.get("msg_id_next", 1)))
         config = _fixd_config(self.scenario)
         config.time_machine.run_id = self.run_id
         if self.store_path:
@@ -272,10 +268,12 @@ class ResumedRun:
         fixd.attach(cluster)
         backend = cluster.backend
         if self.pending is not None:
-            for at, record in self.pending.get("deliveries", ()):
-                backend.inject_delivery(Message.from_record(record), at)
-            for at, pid, name, payload in self.pending.get("timers", ()):
-                backend.inject_timer(pid, name, at, payload)
+            for event in self.pending["events"]:
+                if event[0] == "deliver":
+                    backend.inject_delivery(Message.from_record(event[2]), event[1])
+                else:
+                    _, at, pid, name, payload = event
+                    backend.inject_timer(pid, name, at, payload)
         remaining, recoveries = _remaining_faults(self.scenario.faults, flush_time)
         plan = remaining.to_plan()
         if not plan.is_empty():
@@ -352,13 +350,6 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
         )
     scenario, original_backend = _scenario_for_resume(scenario_payload)
     manifest, checkpoints = DurableCheckpointStore.restore_line(store_path, run_id)
-    cluster = Cluster(
-        ClusterConfig(seed=scenario.seed, halt_on_violation=False),
-        backend=make_backend(scenario.backend, scenario.transport, scenario.time_scale),
-    )
-    app_registry.build(cluster, scenario.app, **scenario.params)
-    cluster.start()
-    cluster.restore_checkpoints(checkpoints)
     scroll = sidecar = pending = None
     replays = {}
     try:
@@ -367,6 +358,14 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
         )
     except CheckpointError:
         pass  # no persisted Scroll: state-only resume (pre-continuation store)
+    cluster = Cluster(
+        ClusterConfig(seed=scenario.seed, halt_on_violation=False),
+        backend=make_backend(scenario.backend, scenario.transport, scenario.time_scale),
+        first_msg_id=int(sidecar.get("msg_id_next", 1)) if sidecar else 1,
+    )
+    app_registry.build(cluster, scenario.app, **scenario.params)
+    cluster.start()
+    cluster.restore_checkpoints(checkpoints)
     if scroll is not None:
         replayer = Replayer(scroll, {}, strict=False)
         for pid in sorted(checkpoints):

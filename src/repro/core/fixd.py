@@ -308,6 +308,7 @@ class FixD:
                 protocol_run.model_factories,
                 checkpoint=protocol_run.global_checkpoint,
                 in_flight=protocol_run.in_flight,
+                take_msg_id=self._cluster.msg_ids.take,
             )
             timeline.add(
                 self._cluster.now,

@@ -253,6 +253,7 @@ class SimBackend(Backend):
             ),
             log_fn=lambda p, text: cluster._record_trace(p, "log", text),
             scroll_position_fn=cluster.scroll_position,
+            take_msg_id=cluster.msg_ids.take,
         )
 
     # -- messaging and timers ----------------------------------------------
@@ -276,12 +277,13 @@ class SimBackend(Backend):
                 cluster._record_trace(planned.src, "drop", planned.describe())
                 continue
             if outcome is DeliveryOutcome.DUPLICATE:
+                planned = planned.as_duplicate(cluster.msg_ids.take())
                 cluster.hooks.on_duplicate(planned, now, sender_vt)
                 cluster._record_trace(planned.src, "duplicate", planned.describe())
             if fault is not None and fault.kind == "delay":
                 deliver_at += fault.extra_delay
             if fault is not None and fault.kind == "duplicate":
-                copy = planned.as_duplicate()
+                copy = planned.as_duplicate(cluster.msg_ids.take())
                 cluster.hooks.on_duplicate(copy, now, sender_vt)
                 self._scheduler.schedule_at(deliver_at, EventKind.DELIVER, copy.dst, copy)
             self._scheduler.schedule_at(deliver_at, EventKind.DELIVER, planned.dst, planned)

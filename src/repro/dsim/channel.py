@@ -121,8 +121,8 @@ class Channel:
 
         Returns a list of ``(outcome, delivery_time, message)`` tuples:
         an empty delivery time accompanies :attr:`DeliveryOutcome.DROP`.
-        A duplicated message yields two entries — the original and a
-        copy flagged with :attr:`Message.duplicate_of`.
+        A duplicated message yields two entries carrying the original;
+        the caller, which owns the run's message ids, makes the copy.
 
         ``partitioned`` is decided by the network layer (partitions are a
         property of the topology, not of a single channel) and forces a
@@ -145,8 +145,7 @@ class Channel:
 
         if self.config.duplicate_rate > 0 and self._rng.random() < self.config.duplicate_rate:
             self._duplicated += 1
-            copy = message.as_duplicate()
-            outcomes.append((DeliveryOutcome.DUPLICATE, self._delivery_time(now), copy))
+            outcomes.append((DeliveryOutcome.DUPLICATE, self._delivery_time(now), message))
 
         return outcomes
 

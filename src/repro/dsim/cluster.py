@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.dsim.failure import FailurePlan
 from repro.dsim.hooks import HookChain, RuntimeHook
+from repro.dsim.message import IdCounter
 from repro.dsim.network import NetworkConfig
 from repro.dsim.process import Process, ProcessCheckpoint
 from repro.errors import InvariantViolation, SimulationError, UnknownProcessError
@@ -124,8 +125,11 @@ class Cluster:
         self,
         config: Optional[ClusterConfig] = None,
         backend: Union[None, str, "object"] = None,
+        first_msg_id: int = 1,
     ) -> None:
         self.config = config or ClusterConfig()
+        #: the run's message ids; a continuation starts at its persisted frontier
+        self.msg_ids = IdCounter(first_msg_id)
         self.hooks = HookChain()
         self._processes: Dict[str, Process] = {}
         self._factories: Dict[str, ProcessFactory] = {}

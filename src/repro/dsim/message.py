@@ -10,23 +10,40 @@ carries:
   a process that receives a speculative message is absorbed into the
   speculation (Section 4.2) and must roll back if that speculation is
   aborted;
-* a monotonically increasing ``msg_id`` assigned by the network, giving a
-  stable identity for logging, deduplication and fault targeting.
+* a monotonically increasing ``msg_id`` drawn from the run's counter, giving
+  a stable identity for logging, deduplication and fault targeting.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
+from operator import length_hint
 from typing import Any, Dict, FrozenSet, Optional
 
 from repro.dsim.clock import VectorTimestamp
+from repro.errors import SimulationError
 
-_message_counter = itertools.count(1)
+#: one past the largest id an :class:`IdCounter` hands out (below sys.maxsize)
+_ID_LIMIT = 1 << 62
 
 
-def _next_message_id() -> int:
-    return next(_message_counter)
+class IdCounter:
+    """A run's id sequence (never rewound): ``take`` is one C call, ``peek`` draws none."""
+
+    __slots__ = ("_ids", "take")
+
+    def __init__(self, first: int = 1) -> None:
+        self._ids = iter(range(first, _ID_LIMIT))
+        self.take = self._ids.__next__
+
+    def peek(self) -> int:
+        """The id the next :attr:`take` returns."""
+        return _ID_LIMIT - length_hint(self._ids)
+
+
+def no_msg_ids() -> int:
+    """The id source of a context that must not send: fails loudly."""
+    raise SimulationError("this process context has no message-id source; it cannot send")
 
 
 @dataclass(frozen=True)
@@ -43,7 +60,7 @@ class Message:
     payload:
         Arbitrary picklable application data.
     msg_id:
-        Unique id assigned when the message enters the network.
+        Unique id drawn from the run's counter (``0``: built by hand).
     send_time:
         Simulation time at which the message was sent.
     vt:
@@ -62,7 +79,7 @@ class Message:
     dst: str
     kind: str
     payload: Any = None
-    msg_id: int = field(default_factory=_next_message_id)
+    msg_id: int = 0
     send_time: float = 0.0
     vt: VectorTimestamp = field(default_factory=VectorTimestamp)
     lamport: int = 0
@@ -75,9 +92,9 @@ class Message:
             return self
         return replace(self, speculations=self.speculations | frozenset(speculation_ids))
 
-    def as_duplicate(self) -> "Message":
-        """Return a duplicate copy with a fresh id, marked as such."""
-        return replace(self, msg_id=_next_message_id(), duplicate_of=self.msg_id)
+    def as_duplicate(self, msg_id: int) -> "Message":
+        """Return a duplicate copy under the fresh id ``msg_id``, marked as such."""
+        return replace(self, msg_id=msg_id, duplicate_of=self.msg_id)
 
     def describe(self) -> str:
         """Short human-readable description used by traces and bug reports."""
@@ -126,6 +143,7 @@ def make_message(
     send_time: float,
     vt: "VectorTimestamp",
     lamport: int,
+    msg_id: int,
 ) -> Message:
     """Fast constructor for the per-send hot path.
 
@@ -141,7 +159,7 @@ def make_message(
     state["dst"] = dst
     state["kind"] = kind
     state["payload"] = payload
-    state["msg_id"] = next(_message_counter)
+    state["msg_id"] = msg_id
     state["send_time"] = send_time
     state["vt"] = vt
     state["lamport"] = lamport
@@ -149,15 +167,3 @@ def make_message(
     state["duplicate_of"] = None
     return message
 
-
-def reset_message_ids(start: int = 1) -> None:
-    """Reset the global message id counter (tests; per-worker namespaces).
-
-    The counter is interpreter-global, so every OS process of the
-    multiprocessing backend has its own — each worker rebases its
-    counter into a disjoint range (``start``) so msg_ids stay unique
-    across the whole cluster and Scroll-based message tracing can keep
-    keying on them.
-    """
-    global _message_counter
-    _message_counter = itertools.count(start)

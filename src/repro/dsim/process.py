@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsim.clock import LamportClock, VectorClock, VectorTimestamp
-from repro.dsim.message import Message, make_message
+from repro.dsim.message import Message, make_message, no_msg_ids
 from repro.dsim.rng import DeterministicRNG
 from repro.errors import InvariantViolation, SimulationError
 
@@ -116,6 +116,8 @@ class ProcessContext:
     #: current end position of the run's Scroll, when one is recording;
     #: checkpoints stamp it so rollback can truncate the log's tiers.
     scroll_position_fn: Optional[Callable[[], Optional[int]]] = None
+    #: draws each sent message's id from its owner's counter (default: raises)
+    take_msg_id: Callable[[], int] = no_msg_ids
 
 
 class ProcessCheckpoint:
@@ -327,13 +329,14 @@ class Process:
     # ------------------------------------------------------------------
     def send(self, dst: str, kind: str, payload: Any = None) -> Message:
         """Send a message; returns the message that entered the network."""
+        ctx = self.ctx
         vt = self._vector_clock.tick() if self._vector_clock else VectorTimestamp()
         lamport = self._lamport.tick() if self._lamport else 0
         message = make_message(
-            self.pid, dst, kind, payload, self.ctx.now_fn(), vt, lamport
+            ctx.pid, dst, kind, payload, ctx.now_fn(), vt, lamport, ctx.take_msg_id()
         )
         self._sent_count += 1
-        self.ctx.send_fn(message)
+        ctx.send_fn(message)
         return message
 
     def broadcast(self, kind: str, payload: Any = None) -> List[Message]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.dsim.failure import MessageFaultEngine, StateCorruptionFault
-from repro.dsim.message import Message, reset_message_ids
+from repro.dsim.message import IdCounter, Message
 from repro.dsim.process import ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed
 from repro.dsim.wire import TransportError
@@ -158,9 +158,6 @@ def worker_loop(
     in a *flush buffer* shipped as one transport frame — per-sender FIFO
     order is preserved because the buffer is drained in append order.
     """
-    # each worker owns a disjoint msg_id range so ids stay cluster-unique
-    # (the counter is interpreter-global; fork would otherwise clone it)
-    reset_message_ids(msg_id_base)
     start = wall_time.monotonic()
     scale = options.time_scale
     watermark = max(1, options.flush_watermark)
@@ -244,6 +241,7 @@ def worker_loop(
         rng=DeterministicRNG(derive_seed(seed, "process", pid)),
         record_random_fn=record_random,
         record_clock_fn=record_clock,
+        take_msg_id=IdCounter(msg_id_base).take,  # this worker's disjoint id range
     )
 
     def after_handler() -> None:
@@ -524,8 +522,9 @@ class Router:
             pid: (
                 pid, factories[pid], pids, config.seed, config.check_invariants,
                 self.wall_limit, corruptions.get(pid, []),
-                # disjoint per-worker msg_id ranges; the router (range below
-                # 10^9, used for injected duplicates) never collides
+                # disjoint per-worker msg_id ranges; the cluster's own
+                # counter (range below 10^9, drawn for the router's injected
+                # duplicates) never collides
                 (index + 1) * 1_000_000_000,
             )
             for index, pid in enumerate(pids)
@@ -576,7 +575,7 @@ class Router:
             return
         if fault is not None and fault.kind == "duplicate":
             self.duplicated += 1
-            copy = message.as_duplicate()
+            copy = message.as_duplicate(cluster.msg_ids.take())
             hooks.on_duplicate(copy, sent_at, message.vt)
             cluster._record_trace(copy.src, "duplicate", copy.describe())
             self.enqueue(copy.dst, copy)

@@ -98,6 +98,7 @@ class Investigator:
         in_flight: Optional[Sequence[Message]] = None,
         global_invariants: Optional[Dict[str, Callable[[Dict[str, Dict[str, Any]]], bool]]] = None,
         search_order: Optional[SearchOrder] = None,
+        take_msg_id: Optional[Callable[[], int]] = None,
     ) -> InvestigationReport:
         """Explore from ``checkpoint`` (or the initial states) and report violating trails.
 
@@ -114,11 +115,14 @@ class Investigator:
         global_invariants:
             Named predicates over ``{pid: state_dict}`` checked in every
             explored state, in addition to the processes' own invariants.
+        take_msg_id:
+            The investigated run's ``cluster.msg_ids.take``; omitted, the model counts its own.
         """
         adapter = DistributedSystemModel(
             factories,
             seed=self.config.seed,
             global_invariants=global_invariants,
+            take_msg_id=take_msg_id,
         )
         initial: SystemState
         if checkpoint is not None:

@@ -52,7 +52,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dsim.message import Message
+from repro.dsim.message import IdCounter, Message
 from repro.dsim.process import Process, ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed
 from repro.errors import InvariantViolation, ModelCheckingError
@@ -257,7 +257,14 @@ class _SandboxContext:
     including one set earlier in the same handler.
     """
 
-    def __init__(self, pid: str, peers: Tuple[str, ...], rng: DeterministicRNG, now: float) -> None:
+    def __init__(
+        self,
+        pid: str,
+        peers: Tuple[str, ...],
+        rng: DeterministicRNG,
+        take_msg_id: Callable[[], int],
+        now: float,
+    ) -> None:
         self.sent: List[Message] = []
         self.timer_ops: List[Tuple[str, Optional[Tuple[str, Any]]]] = []
         self.context = ProcessContext(
@@ -268,6 +275,7 @@ class _SandboxContext:
             cancel_timer_fn=lambda name: self.timer_ops.append((name, None)),
             now_fn=lambda: now,
             rng=rng,
+            take_msg_id=take_msg_id,
         )
 
     def timer_queue(self, queue: Tuple[Any, ...]) -> Tuple[Any, ...]:
@@ -295,6 +303,7 @@ class DistributedSystemModel:
         seed: int = 0,
         global_invariants: Optional[Dict[str, Callable[[Dict[str, Dict[str, Any]]], bool]]] = None,
         check_process_invariants: bool = True,
+        take_msg_id: Optional[Callable[[], int]] = None,
     ) -> None:
         if not factories:
             raise ModelCheckingError("a distributed system model needs at least one process")
@@ -304,6 +313,7 @@ class DistributedSystemModel:
         self.check_process_invariants = check_process_invariants
         self._pids = tuple(sorted(self.factories))
         self._seeds = {pid: derive_seed(seed, "model", pid) for pid in self._pids}
+        self._take_msg_id = take_msg_id or IdCounter().take  # standalone: own ids
         # One scratch instance per process, reused across action executions,
         # and one per process that only ever evaluates invariants.
         self._scratch: Dict[str, Process] = {}
@@ -331,6 +341,7 @@ class DistributedSystemModel:
                     cancel_timer_fn=_refuse,
                     now_fn=_refuse,
                     rng=None,
+                    take_msg_id=_refuse,
                 )
             )
         return checker
@@ -354,7 +365,7 @@ class DistributedSystemModel:
         for pid in self._pids:
             process = self.factories[pid]()
             rng = self._fresh_rng(pid, 0)
-            sandbox = _SandboxContext(pid, self._pids, rng, now=0.0)
+            sandbox = _SandboxContext(pid, self._pids, rng, self._take_msg_id, now=0.0)
             process.bind(sandbox.context)
             process.on_start()
             # SystemState.build copies every state and record it is given
@@ -382,7 +393,7 @@ class DistributedSystemModel:
                 # Processes without a checkpoint start from their initial state.
                 process = self.factories[pid]()
                 rng = self._fresh_rng(pid, 0)
-                sandbox = _SandboxContext(pid, self._pids, rng, now=0.0)
+                sandbox = _SandboxContext(pid, self._pids, rng, self._take_msg_id, now=0.0)
                 process.bind(sandbox.context)
                 process.on_start()
                 states[pid] = process.state
@@ -411,7 +422,9 @@ class DistributedSystemModel:
         """
         process = self._scratch_process(pid)
         rng = self._fresh_rng(pid, state.rng_cursor(pid))
-        sandbox = _SandboxContext(pid, self._pids, rng, now=float(state.step + 1))
+        sandbox = _SandboxContext(
+            pid, self._pids, rng, self._take_msg_id, now=float(state.step + 1)
+        )
         process.bind(sandbox.context)
         # The transition's one deep copy: the handler's result is the successor's state.
         process.state = copy.deepcopy(state.state_of(pid))

@@ -1,8 +1,10 @@
-"""Scroll entries: one recorded nondeterministic action and its outcome."""
+"""Scroll entries: one recorded nondeterministic action and its outcome.
+
+An entry's ``seq`` comes from the counter of the Scroll that recorded it.
+"""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
@@ -49,23 +51,6 @@ NONDETERMINISTIC_KINDS = frozenset(
     }
 )
 
-_entry_counter = itertools.count(1)
-
-
-def _next_entry_seq() -> int:
-    return next(_entry_counter)
-
-
-def reset_entry_seq(start: int = 1) -> None:
-    """Reset the global entry counter (test isolation; resume continuation).
-
-    A resumed run that keeps appending to a rebuilt Scroll rebases the
-    counter past the persisted history (``start``) so entry ``seq``
-    numbers stay a total order across the crash.
-    """
-    global _entry_counter
-    _entry_counter = itertools.count(start)
-
 
 @dataclass(frozen=True)
 class ScrollEntry:
@@ -74,9 +59,8 @@ class ScrollEntry:
     Attributes
     ----------
     seq:
-        Global, monotonically increasing sequence number assigned at
-        record time.  Within one Scroll it is a total order consistent
-        with the observation order.
+        Monotonically increasing number the recording Scroll stamps: a
+        total order consistent with observation.  ``0``: built by hand.
     pid:
         The process the action belongs to.
     kind:
@@ -97,7 +81,7 @@ class ScrollEntry:
     time: float
     detail: Dict[str, Any] = field(default_factory=dict)
     vt: Optional[VectorTimestamp] = None
-    seq: int = field(default_factory=_next_entry_seq)
+    seq: int = 0
 
     @property
     def is_nondeterministic(self) -> bool:

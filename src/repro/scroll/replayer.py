@@ -32,7 +32,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.dsim.message import Message
+from repro.dsim.message import IdCounter, Message
 from repro.dsim.process import Process, ProcessContext
 from repro.errors import ReplayDivergenceError
 from repro.scroll.entry import ActionKind
@@ -204,6 +204,7 @@ class Replayer:
             now_fn=clock.ambient,
             rng=rng,  # type: ignore[arg-type] — same draw interface as DeterministicRNG
             read_clock_fn=clock.read,
+            take_msg_id=IdCounter().take,  # sends are checked, never delivered
         )
         process.bind(ctx)
 
@@ -310,6 +311,7 @@ class Replayer:
             now_fn=clock.ambient,
             rng=rng,  # type: ignore[arg-type] — same draw interface as DeterministicRNG
             read_clock_fn=clock.read,
+            take_msg_id=IdCounter().take,  # sends are checked, never delivered
         )
         process.swap_context(ctx)
 

@@ -53,6 +53,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsim.clock import VectorTimestamp
+from repro.dsim.message import IdCounter
 from repro.scroll.entry import ActionKind, ScrollEntry
 from repro.scroll.storage import PathLike, SegmentStore
 
@@ -137,6 +138,9 @@ class Scroll:
         recorded checkpoint position and positional query stays valid
         against the rebuilt log.  Positions below ``base`` behave like a
         garbage-collected prefix.
+    first_seq:
+        The ``seq`` :meth:`record` stamps next (a continuation passes its
+        persisted frontier); appended entries keep the ``seq`` they carry.
     """
 
     def __init__(
@@ -148,6 +152,7 @@ class Scroll:
         segment_size: Optional[int] = None,
         store: Optional[SegmentStore] = None,
         base: int = 0,
+        first_seq: int = 1,
     ) -> None:
         if hot_window is not None and hot_window < 1:
             raise ValueError("hot_window must be at least 1")
@@ -175,6 +180,7 @@ class Scroll:
         self._times: List[float] = []
         self._times_base = int(base)
         self._time_monotone = True
+        self.seqs = IdCounter(first_seq)
         for entry in entries or ():
             self.append(entry)
 
@@ -281,9 +287,10 @@ class Scroll:
         detail: Optional[Dict] = None,
         vt: Optional[VectorTimestamp] = None,
     ) -> ScrollEntry:
-        """Convenience constructor + append."""
-        entry = ScrollEntry(pid=pid, kind=kind, time=time, detail=dict(detail or {}), vt=vt)
-        return self.append(entry)
+        """Build an entry stamped with this Scroll's next ``seq`` and append it."""
+        return self.append(
+            ScrollEntry(pid, kind, time, dict(detail or {}), vt, self.seqs.take())
+        )
 
     # ------------------------------------------------------------------
     # garbage collection (committed recovery lines)

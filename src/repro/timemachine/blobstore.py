@@ -622,13 +622,16 @@ class DurableCheckpointStore:
         pending=None,
         now: float = 0.0,
         committed_position: Optional[int] = None,
+        msg_id_next: int = 1,
     ) -> Dict[str, int]:
         """Persist the Scroll tail (and in-flight snapshot) for this run.
 
         Delegates to the run's scroll-persistence sidecar; see
         :meth:`repro.timemachine.scroll_persistence.ScrollPersistence.flush`.
         """
-        return self.scroll_persistence.flush(scroll, pending, now, committed_position)
+        return self.scroll_persistence.flush(
+            scroll, pending, now, committed_position, msg_id_next
+        )
 
     def scroll_entries_pending(self, scroll) -> int:
         """Recorded entries not yet covered by a durable segment."""

@@ -208,6 +208,10 @@ class CheckpointStore:
         dropped = [c for c in log if c.sequence < sequence and c not in self._held]
         return sum(self._release(log, checkpoint) for checkpoint in dropped)
 
+    def committed_sequence(self, pid: str) -> Optional[int]:
+        """Sequence of ``pid``'s committed checkpoint (None before any commit)."""
+        return self._committed.get(pid)
+
     def hold(self, checkpoint: ProcessCheckpoint) -> ProcessCheckpoint:
         """Keep ``checkpoint`` restorable across commits until :meth:`release`."""
         self._held.add(checkpoint)

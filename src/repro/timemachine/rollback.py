@@ -246,6 +246,7 @@ class RollbackManager:
                 pending=pending,
                 now=self._cluster.now,
                 committed_position=committed_position,
+                msg_id_next=self._cluster.msg_ids.peek(),
             )
         )
 

@@ -22,10 +22,10 @@ Layout, sharing the blob store's content-addressing:
   are a snapshot, not a log);
 * a per-run **sidecar manifest** (``runs/<run_id>/scroll.json``,
   atomically rewritten last, under the store's shared flush lock)
-  names the live segments in order, the pending blob, and the counter
-  frontiers (next Scroll entry ``seq``, next message id) a continuation
-  must rebase past so its new history never collides with the persisted
-  one.
+  names the live segments in order, the pending blob, and the id
+  frontiers read from their owners at flush time: the Scroll's next
+  ``seq_next`` and the cluster's ``msg_id_next``, which a continuation
+  passes to the rebuilt ``Scroll`` and ``Cluster`` constructors.
 
 A flush is segment-granular, not per-entry: callers flush on line
 commits and on an entry-count threshold between commits, so the durable
@@ -49,30 +49,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CheckpointError
-from repro.scroll.entry import ActionKind, ScrollEntry
+from repro.scroll.entry import ScrollEntry
 from repro.scroll.scroll import Scroll
 from repro.scroll.storage import decode_segment, encode_segment
 
 #: sidecar manifest schema; bump with a migration when the shape changes
 SCROLL_SIDECAR_SCHEMA = 1
-
-_MESSAGE_KINDS = (ActionKind.SEND, ActionKind.RECEIVE, ActionKind.DUPLICATE)
-
-
-def _max_msg_id(entries) -> int:
-    """Largest message id appearing in ``entries`` (0 when none)."""
-    highest = 0
-    for entry in entries:
-        if entry.kind in _MESSAGE_KINDS:
-            record = entry.detail.get("message") or {}
-            msg_id = record.get("msg_id")
-            if isinstance(msg_id, int):
-                highest = max(highest, msg_id)
-            duplicate_of = record.get("duplicate_of")
-            if isinstance(duplicate_of, int):
-                highest = max(highest, duplicate_of)
-    return highest
-
 
 class ScrollPersistence:
     """Flushes a live Scroll's tail into a durable store, incrementally.
@@ -91,8 +73,6 @@ class ScrollPersistence:
         self.sidecar_path = store.run_dir / "scroll.json"
         self._segments: List[Dict[str, Any]] = []
         self._flushed_end = 0
-        self._seq_max = 0
-        self._msg_id_max = 0
         self.flushes = 0
         self.segment_bytes = 0
         existing = _read_sidecar(self.sidecar_path)
@@ -100,8 +80,6 @@ class ScrollPersistence:
             # a continued run picks up where the previous process stopped
             self._segments = list(existing.get("segments", ()))
             self._flushed_end = int(existing.get("position", 0))
-            self._seq_max = int(existing.get("seq_next", 1)) - 1
-            self._msg_id_max = int(existing.get("msg_id_next", 1)) - 1
 
     # ------------------------------------------------------------------
     # write path
@@ -121,6 +99,7 @@ class ScrollPersistence:
         pending: Optional[Dict[str, Any]],
         now: float,
         committed_position: Optional[int] = None,
+        msg_id_next: int = 1,
     ) -> Dict[str, int]:
         """Make the Scroll tail since the last flush durable.
 
@@ -132,13 +111,13 @@ class ScrollPersistence:
         point leaves a consistent (at worst slightly stale) durable log.
 
         The live Scroll is read on the caller's (hot) path: the tail
-        slice and the in-flight snapshot are captured at the same
-        instant, so a continuation can never see recorded history past
-        its pending snapshot.  In pipelined mode only the encoding, blob
-        puts and sidecar rename run on the background writer — queued
-        after the line flush they belong to, so the sidecar can never
-        prune a replay window before the manifest referencing it is
-        durable.
+        slice, the in-flight snapshot and the id frontiers (``seq_next``
+        and the cluster's ``msg_id_next``) are taken at one instant, so a
+        continuation never sees history past its snapshot, nor reuses an id.
+        In pipelined mode only the encoding, blob puts and sidecar
+        rename run on the background writer — queued after the line
+        flush they belong to, so the sidecar can never prune a replay
+        window before the manifest referencing it is durable.
         """
         counters = {"segments_written": 0, "entries_flushed": 0, "segment_bytes": 0}
         start = max(self._flushed_end, scroll.collected_base)
@@ -146,12 +125,13 @@ class ScrollPersistence:
         entries = scroll.entries_between(start, end) if end > start else []
         self._flushed_end = max(self._flushed_end, end)
         frontier = self._flushed_end
+        ids = {"seq_next": scroll.seqs.peek(), "msg_id_next": int(msg_id_next)}
         now = float(now)
 
         def job() -> None:
             with self._lock.shared():
                 self._write_flush(
-                    entries, start, frontier, pending, now, committed_position, counters
+                    entries, start, frontier, ids, pending, now, committed_position, counters
                 )
             self.flushes += 1
 
@@ -165,6 +145,7 @@ class ScrollPersistence:
         entries: List[ScrollEntry],
         start: int,
         frontier: int,
+        ids: Dict[str, int],
         pending: Optional[Dict[str, Any]],
         now: float,
         committed_position: Optional[int],
@@ -174,8 +155,6 @@ class ScrollPersistence:
             blob = encode_segment(entries)
             name, _ = self._blobs.put(blob)
             self._segments.append({"first": start, "count": len(entries), "blob": name})
-            self._seq_max = max(self._seq_max, max(entry.seq for entry in entries))
-            self._msg_id_max = max(self._msg_id_max, _max_msg_id(entries))
             counters["segments_written"] = 1
             counters["entries_flushed"] = len(entries)
             counters["segment_bytes"] = len(blob)
@@ -188,14 +167,6 @@ class ScrollPersistence:
             ]
         pending_name: Optional[str] = None
         if pending is not None:
-            deliveries = pending.get("deliveries", ())
-            self._msg_id_max = max(
-                self._msg_id_max,
-                max(
-                    (record.get("msg_id", 0) for _, record in deliveries),
-                    default=0,
-                ),
-            )
             pending_blob = pickle.dumps(pending, protocol=pickle.HIGHEST_PROTOCOL)
             pending_name, _ = self._blobs.put(pending_blob)
             counters["segment_bytes"] += len(pending_blob)
@@ -207,8 +178,7 @@ class ScrollPersistence:
             "flush_time": now,
             "position": frontier,
             "start": start_position,
-            "seq_next": self._seq_max + 1,
-            "msg_id_next": self._msg_id_max + 1,
+            **ids,
             "segments": self._segments,
             "pending": pending_name,
         }
@@ -232,7 +202,8 @@ class ScrollPersistence:
         validating blob store, so corrupt bytes raise
         :class:`~repro.errors.BlobIntegrityError` instead of silently
         replaying garbage.  The Scroll is based at the sidecar's
-        ``start`` so positions match the original run's global numbering.
+        ``start`` so positions match the original run's global numbering
+        (and its next entry is ``seq_next``).
         """
         sidecar = cls.load_sidecar(root, run_id)
         if sidecar is None:
@@ -266,10 +237,12 @@ class ScrollPersistence:
                 )
             entries.extend(decoded)
             expected = first + len(decoded)
-        scroll = Scroll(entries, base=sidecar.get("start", 0))
+        scroll = Scroll(entries, base=sidecar.get("start", 0), first_seq=sidecar.get("seq_next", 1))
         pending: Optional[Dict[str, Any]] = None
         if sidecar.get("pending"):
             pending = pickle.loads(blobs.get(sidecar["pending"]))
+            if "events" not in pending:
+                pending["events"] = _events_of_split_snapshot(pending)
         return scroll, sidecar, pending
 
 
@@ -287,8 +260,27 @@ def sidecar_blobs(sidecar: Optional[Dict[str, Any]]) -> Set[str]:
     return names
 
 
+def _events_of_split_snapshot(pending: Dict[str, Any]) -> List[Tuple]:
+    """The ``events`` of a snapshot that stored deliveries and timers apart.
+
+    Older stores wrote two lists.  Their relative order is lost, so this
+    puts every delivery before every timer: a timer that shared a
+    timestamp with a delivery may re-run in a different order than the
+    original.
+    """
+    return [("deliver", at, record) for at, record in pending.get("deliveries", ())] + [
+        ("timer", at, pid, name, payload)
+        for at, pid, name, payload in pending.get("timers", ())
+    ]
+
+
 def capture_pending(backend) -> Optional[Dict[str, Any]]:
     """Snapshot a backend's in-flight deliveries and timers for persistence.
+
+    ``events`` lists them in the scheduler's execution order, one tuple
+    each: ``("deliver", time, message_record)`` or ``("timer", time,
+    pid, name, payload)``.  A continuation re-injects them in that order,
+    so events that share a timestamp run in their original order.
 
     Only DELIVER and TIMER events are captured: fault events (crash,
     recover, corrupt) are re-armed from the scenario's remaining fault
@@ -315,15 +307,13 @@ def capture_pending(backend) -> Optional[Dict[str, Any]]:
         return None
     from repro.dsim.scheduler import EventKind
 
-    deliveries = [
-        (event.time, event.payload.to_record())
-        for event in scheduler.pending(EventKind.DELIVER)
-    ]
-    timers = [
-        (event.time, event.target, event.payload[0], event.payload[1])
-        for event in scheduler.pending(EventKind.TIMER)
-    ]
-    snapshot: Dict[str, Any] = {"deliveries": deliveries, "timers": timers}
+    events: List[Tuple] = []
+    for event in scheduler.pending():
+        if event.kind is EventKind.DELIVER:
+            events.append(("deliver", event.time, event.payload.to_record()))
+        elif event.kind is EventKind.TIMER:
+            events.append(("timer", event.time, event.target, *event.payload))
+    snapshot: Dict[str, Any] = {"events": events}
     engine = getattr(backend, "fault_engine", None)
     if engine is not None:
         snapshot["fault_hits"] = engine.hit_counts()

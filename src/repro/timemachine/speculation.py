@@ -20,12 +20,15 @@ explicit API:
 * ``begin(pid, assumption)`` — start a speculation at a process;
 * message taint — every message sent by a process inside active
   speculations carries those ids (tracked manager-side, keyed by message
-  id, so application messages stay immutable);
+  id, so application messages stay immutable); a network duplicate
+  carries its original's taint (looked up through ``duplicate_of``);
 * absorption — delivering a tainted message checkpoints and absorbs the
   receiver;
 * ``commit(spec_id)`` / ``abort(spec_id)`` — resolve the assumption;
   abort rolls back every absorbed process via the cluster and invokes the
-  optional alternate-path callback registered at ``begin``.
+  optional alternate-path callback registered at ``begin``.  An abort
+  that would roll a member back past its committed recovery line is
+  refused: a committed line is a floor no rollback may cross.
 """
 
 from __future__ import annotations
@@ -139,10 +142,23 @@ class SpeculationManager(RuntimeHook):
         are cancelled by the cluster restore, and the alternate execution
         path (if one was registered) is invoked for the initiator so the
         computation can continue down a different branch.
+
+        Raises :class:`SpeculationError`, leaving the speculation active
+        (it can still commit), when a member's committed checkpoint is
+        newer than the checkpoint it entered with: restoring that would
+        roll the member back past a committed recovery line.
         """
         speculation = self._get_active(spec_id)
         if self._cluster is None:
             raise SpeculationError("speculation manager is not attached to a cluster")
+        for pid, checkpoint in sorted(speculation.checkpoints.items()):
+            committed = self.store.committed_sequence(pid)
+            if committed is not None and committed > checkpoint.sequence:
+                raise SpeculationError(
+                    f"cannot abort {spec_id!r}: {pid} entered it at checkpoint "
+                    f"#{checkpoint.sequence}, before its committed checkpoint "
+                    f"#{committed}; a rollback may not cross a committed line"
+                )
         speculation.status = SpeculationStatus.ABORTED
         speculation.resolved_at = self._cluster.now
         self._cluster.restore_checkpoints(dict(speculation.checkpoints))
@@ -200,7 +216,10 @@ class SpeculationManager(RuntimeHook):
     def before_receive(self, pid, message, time):
         taint = self._message_taint.get(message.msg_id)
         if not taint:
-            return
+            # a network duplicate carries its original's taint
+            taint = self._message_taint.get(message.duplicate_of)
+            if not taint:
+                return
         for spec_id in list(taint):
             speculation = self._speculations.get(spec_id)
             if speculation is None or not speculation.active:

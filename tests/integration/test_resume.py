@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.api import Experiment, Scenario
+from repro.api import Experiment, Scenario, execute
 from repro.errors import CheckpointError, ScenarioError
 from repro.timemachine import DurableCheckpointStore
 
@@ -163,15 +163,8 @@ class TestResume:
         """The pipelined writer is pure plumbing: the same scenario committed
         in both modes produces equal line manifests (modulo the unique run
         id) and the exact same content-addressed blob set."""
-        from repro.dsim.message import reset_message_ids
-        from repro.scroll.entry import reset_entry_seq
-
         stores = {}
         for mode in ("sync", "pipelined"):
-            # message ids and scroll seqs are process-global counters; both
-            # runs must start from the same values for blob-level equality
-            reset_message_ids(1)
-            reset_entry_seq(1)
             store = str(tmp_path / mode)
             outcome = Experiment(
                 [kv_scenario("mode-twin", store, until=6.0, flush_mode=mode)]
@@ -230,6 +223,51 @@ class TestResume:
         # the drop fired before the crash; the continuation must not re-fire
         assert sum(continued.fault_hits.values()) == 1
         assert continued.state_projection() == full.state_projection()
+
+    def test_continuation_records_what_the_twin_records(self, tmp_path, flush_mode):
+        """Regression: the pending snapshot kept deliveries and timers in
+        two lists and the continuation re-injected every delivery before
+        every timer, so a timer due at the same instant as a delivery ran
+        after it.  The continuation must record, from the resume point on,
+        exactly the entries of the uninterrupted twin: the same actions
+        at the same times, under the same entry seqs and message ids."""
+
+        def bank(store: str, until: float) -> Scenario:
+            return Scenario(
+                app="bank",
+                name="same-time",
+                seed=11,
+                until=until,
+                auto_commit_interval=2.0,
+                checkpoint_store="disk",
+                store_path=store,
+                flush_mode=flush_mode,
+            )
+
+        twin = execute(bank(str(tmp_path / "twin"), 8.0)).fixd.scroll
+        crashed_store = str(tmp_path / "crashed")
+        Experiment([bank(crashed_store, 4.0)]).run()
+        resumed = Experiment.resume("same-time", crashed_store)
+        events = resumed.pending["events"]
+        # the persisted window holds a timer due with a later-queued delivery
+        assert any(
+            first[0] == "timer" and later[0] == "deliver" and first[1] == later[1]
+            for index, first in enumerate(events)
+            for later in events[index + 1 :]
+        )
+        resume_point = int(resumed.sidecar["position"])
+        resumed.continue_run(until=8.0)
+        continued = resumed.scroll
+        assert len(continued) == len(twin)
+        start = max(resume_point, twin.collected_base, continued.collected_base)
+
+        def window(scroll):
+            return [
+                (entry.seq, entry.pid, entry.kind, entry.time, entry.detail)
+                for entry in scroll.entries_between(start, len(scroll))
+            ]
+
+        assert window(continued) == window(twin)
 
     def test_mp_recorded_run_resumes_on_the_simulator(self, store_path):
         """Regression: resume used to rebuild the *recorded* backend, so an

@@ -277,6 +277,8 @@ def test_crash_mid_scroll_flush_never_leaves_torn_suffix(
             range(1, flushed_position + 1)
         )
         assert pending is not None and pending["timers"][0][2] == "tick"
+        # a snapshot without ``events`` (the old two-list shape) still loads
+        assert pending["events"] == [("timer", 1.0, "p0", "tick", None)]
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

@@ -17,14 +17,17 @@ speculations, commits and rollbacks, and after every step checks:
 * every checkpoint an active speculation holds is still logged, so an
   abort can restore it.
 
-A speculation that began before a commit may abort after it, rolling its
-members back past the committed line; the log then no longer explains
-their states and no consistent recovery line may exist.  The commit and
-rollback rules change nothing in that case (an open question in ROADMAP.md).
+A speculation whose member entered it before that member's committed
+checkpoint may not abort: the abort would roll the member back past the
+committed line.  The abort rule expects exactly that refusal, and the
+speculation then stays active until a later commit resolves it.  A step
+may still leave no consistent recovery line; the commit and rollback
+rules then change nothing.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -36,7 +39,7 @@ from hypothesis.stateful import (
 
 from repro.api import apps as registry
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.errors import RecoveryLineError
+from repro.errors import RecoveryLineError, SpeculationError
 from repro.timemachine.time_machine import TimeMachine
 
 from tests.conftest import assert_pages_match_log
@@ -75,11 +78,22 @@ class CheckpointLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: self.active)
     @rule(index=st.integers(0, 15), abort=st.booleans())
     def resolve_speculation(self, index, abort):
-        speculation = self.active.pop(index % len(self.active))
-        if abort:
-            self.time_machine.speculations.abort(speculation.spec_id)
+        speculation = self.active[index % len(self.active)]
+        speculations = self.time_machine.speculations
+        if not abort:
+            speculations.commit(speculation.spec_id)
+        elif any(
+            pid in self.committed
+            and self.committed[pid].sequence > checkpoint.sequence
+            for pid, checkpoint in speculation.checkpoints.items()
+        ):
+            with pytest.raises(SpeculationError, match="committed"):
+                speculations.abort(speculation.spec_id)
+            assert speculation.active
+            return
         else:
-            self.time_machine.speculations.commit(speculation.spec_id)
+            speculations.abort(speculation.spec_id)
+        self.active.remove(speculation)
 
     def _latest_line(self):
         try:

@@ -13,8 +13,15 @@ from repro.dsim.clock import (
     happens_before,
     merge_all,
 )
-from repro.dsim.message import Message, reset_message_ids
+from repro.dsim.cluster import Cluster, ClusterConfig
+from repro.dsim.message import Message
+from repro.dsim.process import Process, ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed, spawn_streams
+from repro.errors import SimulationError
+
+
+class Echo(Process):
+    """A process with no handlers: the tests send through it by hand."""
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +212,46 @@ class TestDeterministicRNG:
 # Messages
 # ----------------------------------------------------------------------
 class TestMessage:
-    def test_ids_are_unique_and_increasing(self):
-        reset_message_ids()
-        first = Message(src="a", dst="b", kind="X")
-        second = Message(src="a", dst="b", kind="X")
-        assert second.msg_id > first.msg_id
+    def test_run_ids_are_unique_and_increasing(self):
+        cluster = Cluster(ClusterConfig(seed=1))
+        cluster.add_process("a", Echo)
+        cluster.add_process("b", Echo)
+        cluster.start()
+        first = cluster.process("a").send("b", "X")
+        second = cluster.process("a").send("b", "X")
+        assert (first.msg_id, second.msg_id) == (1, 2)
+        assert cluster.msg_ids.peek() == 3
+
+    def test_each_run_numbers_its_messages_from_one(self):
+        for _ in range(2):
+            cluster = Cluster(ClusterConfig(seed=1))
+            cluster.add_process("a", Echo)
+            cluster.add_process("b", Echo)
+            cluster.start()
+            assert cluster.process("a").send("b", "X").msg_id == 1
+
+    def test_a_continuation_numbers_past_its_frontier(self):
+        cluster = Cluster(ClusterConfig(seed=1), first_msg_id=41)
+        cluster.add_process("a", Echo)
+        cluster.add_process("b", Echo)
+        cluster.start()
+        assert cluster.process("a").send("b", "X").msg_id == 41
+
+    def test_send_without_an_id_source_fails_loudly(self):
+        process = Echo()
+        process.bind(
+            ProcessContext(
+                pid="a",
+                peers=("a", "b"),
+                send_fn=lambda message: None,
+                timer_fn=lambda name, delay, payload: None,
+                cancel_timer_fn=lambda name: None,
+                now_fn=lambda: 0.0,
+                rng=DeterministicRNG(0),
+            )
+        )
+        with pytest.raises(SimulationError, match="no message-id source"):
+            process.send("b", "X")
 
     def test_round_trip_through_record(self):
         message = Message(src="a", dst="b", kind="PUT", payload={"k": 1}, lamport=4)
@@ -221,9 +263,9 @@ class TestMessage:
 
     def test_duplicate_carries_original_id(self):
         message = Message(src="a", dst="b", kind="X")
-        copy = message.as_duplicate()
+        copy = message.as_duplicate(7)
         assert copy.duplicate_of == message.msg_id
-        assert copy.msg_id != message.msg_id
+        assert copy.msg_id == 7
 
     def test_taint_adds_speculations(self):
         message = Message(src="a", dst="b", kind="X")
@@ -270,11 +312,12 @@ class TestChannel:
 
     def test_always_duplicate_channel(self):
         channel = make_channel(duplicate_rate=1.0)
-        plans = channel.plan_delivery(Message(src="a", dst="b", kind="X"), now=0.0)
+        message = Message(src="a", dst="b", kind="X")
+        plans = channel.plan_delivery(message, now=0.0)
         outcomes = [outcome for outcome, _, _ in plans]
         assert DeliveryOutcome.DELIVER in outcomes and DeliveryOutcome.DUPLICATE in outcomes
-        duplicate = [msg for outcome, _, msg in plans if outcome is DeliveryOutcome.DUPLICATE][0]
-        assert duplicate.duplicate_of is not None
+        # the channel plans the copy; the run that owns the ids makes it
+        assert all(planned is message for _, _, planned in plans)
 
     def test_fifo_channel_preserves_order_under_jitter(self):
         channel = make_channel(base_delay=1.0, jitter=5.0, fifo=True)

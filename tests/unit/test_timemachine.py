@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import apps as registry
 from repro.dsim.clock import VectorTimestamp
-from repro.dsim.process import ProcessCheckpoint
+from repro.dsim.cluster import Cluster, ClusterConfig
+from repro.dsim.failure import FailurePlan, MessageFault
+from repro.dsim.process import Process, ProcessCheckpoint, handler
 from repro.errors import CheckpointError, RecoveryLineError, SimulationError, SpeculationError
 from repro.scroll.recorder import ScrollRecorder
 from repro.timemachine.checkpoint import CheckpointStore, GlobalCheckpoint, LocalCheckpointLog
@@ -24,6 +27,17 @@ from repro.timemachine.speculation import SpeculationManager, SpeculationStatus
 from repro.timemachine.time_machine import CheckpointPolicy, TimeMachine, TimeMachineConfig
 
 from tests.conftest import PingPong, RandomWorker, assert_pages_match_log, make_cluster
+
+
+class Counter(Process):
+    """Counts the INC messages it receives."""
+
+    def on_start(self):
+        self.state["n"] = 0
+
+    @handler("INC")
+    def on_inc(self, message):
+        self.state["n"] += 1
 
 
 def checkpoint(pid: str, sequence: int, time: float, vt: dict, state: dict | None = None):
@@ -469,21 +483,62 @@ class TestSpeculations:
         cluster.start()
         return cluster, tm
 
-    def test_abort_after_a_commit_past_its_entry_restores_the_entry(self):
+    def test_abort_after_a_commit_past_its_entry_is_refused(self):
         cluster, tm = self._time_machine()
         spec = tm.speculations.begin("p0", "token will return")
-        entry = dict(cluster.process("p0").state)
+        entry = spec.checkpoints["p0"]
         cluster.run(max_events=20)
         line = tm.latest_recovery_line()
-        assert line.checkpoints["p0"].sequence > spec.checkpoints["p0"].sequence
+        assert line.checkpoints["p0"].sequence > entry.sequence
         tm.rollback_manager.commit(line)
-        # the commit spared the entry checkpoints the speculation still holds
-        tm.speculations.abort(spec.spec_id)
-        assert cluster.process("p0").state == entry
-        # resolved: now nothing older than the committed members is held
+        state = dict(cluster.process("p0").state)
+        # restoring the entry would cross the committed line
+        with pytest.raises(SpeculationError, match="committed"):
+            tm.speculations.abort(spec.spec_id)
+        assert cluster.process("p0").state == state
+        assert tm.speculations.get(spec.spec_id).active
+        # the commit spared the entry checkpoint the speculation still holds
+        assert tm.store.log_for("p0").earliest is entry
+        # it can still commit; resolved, nothing older than the line is held
+        tm.speculations.commit(spec.spec_id)
         for pid, member in line.checkpoints.items():
             assert tm.store.log_for(pid).earliest is member
         assert_pages_match_log(tm.store)
+
+    def test_refused_abort_leaves_a_consistent_recovery_line(self):
+        cluster = Cluster(ClusterConfig(seed=0, halt_on_violation=False))
+        registry.build(cluster, "bank")
+        tm = TimeMachine()
+        tm.attach(cluster)
+        cluster.start()
+        first = tm.speculations.begin("branch0", "the transfer clears")
+        second = tm.speculations.begin("branch0", "the audit passes")
+        cluster.run(max_events=8)
+        tm.rollback_manager.commit(tm.latest_recovery_line())
+        tm.speculations.commit(first.spec_id)
+        with pytest.raises(SpeculationError, match="committed"):
+            tm.speculations.abort(second.spec_id)
+        tm.speculations.begin("branch0", "the next transfer clears")
+        # an abort that crossed the commit left no consistent line here
+        line = tm.latest_recovery_line()
+        assert set(line.checkpoints) == set(cluster.pids)
+        tm.speculations.commit(second.spec_id)
+
+    def test_duplicate_of_a_speculative_message_is_tainted(self):
+        cluster = make_cluster({"a": Counter, "b": Counter}, seed=1)
+        cluster.set_failure_plan(
+            FailurePlan(message_faults=[MessageFault("duplicate", match_kind="INC", count=1)])
+        )
+        manager = SpeculationManager()
+        cluster.add_hook(manager)
+        cluster.start()
+        spec = manager.begin("a", "b will not need the increment")
+        cluster.process("a").send("b", "INC")
+        cluster.run()
+        assert cluster.process("b").state["n"] == 2  # the copy and the original
+        # the copy runs first: it must absorb b before b applies it
+        manager.abort(spec.spec_id)
+        assert cluster.process("b").state["n"] == 0
 
     @pytest.mark.parametrize("resolve", ["commit", "abort"])
     def test_speculation_resolving_after_its_entry_was_committed_keeps_it(self, resolve):
