@@ -66,6 +66,16 @@ if [[ -n "$counters" ]]; then
 fi
 echo "counter guard: no process-global counters or reset functions in src/"
 
+# the Scroll sits below the Time Machine: scroll/ keeps its segments in a
+# repro.blobs store and must not import the layer that persists it
+layering=$(grep -rnE "(from|import) +repro\.timemachine" src/repro/scroll || true)
+if [[ -n "$layering" ]]; then
+    echo "layering violation: src/repro/scroll imports repro.timemachine" >&2
+    echo "$layering" >&2
+    exit 1
+fi
+echo "layering guard: src/repro/scroll does not import repro.timemachine"
+
 if ! command -v make >/dev/null 2>&1; then
     echo "scripts/check.sh requires make; run the Makefile 'verify' steps manually:" >&2
     grep -A2 '^verify:' Makefile >&2

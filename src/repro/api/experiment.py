@@ -326,9 +326,12 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
     the recorded window *after* the committed line is then replayed
     forward through each restored process — recorded nondeterminism
     re-applied exactly — so the handle sits at the crash point and
-    :meth:`ResumedRun.continue_run` can finish the run.  Stores that
-    predate Scroll persistence degrade to the quiescent state-only
-    restore.
+    :meth:`ResumedRun.continue_run` can finish the run.  The rebuilt
+    Scroll keeps the scenario's ``hot_window``.  Only a run with no
+    sidecar (a store that predates Scroll persistence) degrades to the
+    quiescent state-only restore; a sidecar whose segments or pending
+    snapshot fail validation raises (e.g.
+    :class:`~repro.errors.BlobIntegrityError`).
 
     Partial flushes are invisible by construction — manifests and
     sidecars are written atomically *after* their blobs — so a run that
@@ -337,7 +340,6 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
     Raises :class:`~repro.errors.CheckpointError` when the run is
     unknown or has no committed lines yet.
     """
-    from repro.errors import CheckpointError
     from repro.scroll.replayer import Replayer
     from repro.timemachine import DurableCheckpointStore
 
@@ -352,12 +354,12 @@ def resume_run(run_id: str, store_path: str) -> ResumedRun:
     manifest, checkpoints = DurableCheckpointStore.restore_line(store_path, run_id)
     scroll = sidecar = pending = None
     replays = {}
-    try:
+    # only a run with no sidecar (a store that predates Scroll persistence)
+    # resumes state-only; a sidecar that cannot be rebuilt raises
+    if DurableCheckpointStore.load_scroll_sidecar(store_path, run_id) is not None:
         scroll, sidecar, pending = DurableCheckpointStore.rebuild_scroll(
-            store_path, run_id
+            store_path, run_id, scenario.hot_window
         )
-    except CheckpointError:
-        pass  # no persisted Scroll: state-only resume (pre-continuation store)
     cluster = Cluster(
         ClusterConfig(seed=scenario.seed, halt_on_violation=False),
         backend=make_backend(scenario.backend, scenario.transport, scenario.time_scale),

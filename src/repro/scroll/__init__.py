@@ -17,11 +17,11 @@ liblog and *syscall-level* recording in the style of Flashback, plus a
 *black-box* mode that only records interactions with remote components.
 
 For long runs the Scroll is *tiered*: constructed with a ``hot_window``
-it keeps only the most recent entries in memory and spills cold entries
-to immutable on-disk segments indexed by an in-memory offset table
-(:class:`repro.scroll.storage.SegmentStore`), preserving every query
-contract — and replay equivalence — while resident memory tracks the
-hot window instead of the run length.
+it keeps only the most recent entries in memory and evicts older ones
+into sealed, content-addressed segments — the same segment log a
+durable run's sidecar names — preserving every query contract, and
+replay equivalence, while resident memory tracks the hot window instead
+of the run length.
 """
 
 from repro.scroll.entry import ActionKind, ScrollEntry
@@ -29,7 +29,7 @@ from repro.scroll.interceptor import InterceptionMode, RecordingPolicy, ReplayRa
 from repro.scroll.recorder import ScrollRecorder
 from repro.scroll.replayer import ProcessReplay, Replayer, ReplayReport
 from repro.scroll.scroll import Scroll, ScrollView
-from repro.scroll.storage import SegmentStore, load_scroll, save_scroll
+from repro.scroll.storage import load_scroll, save_scroll
 
 __all__ = [
     "ActionKind",
@@ -43,7 +43,6 @@ __all__ = [
     "ReplayReport",
     "Scroll",
     "ScrollView",
-    "SegmentStore",
     "load_scroll",
     "save_scroll",
 ]

@@ -51,9 +51,10 @@ class RecordingPolicy:
     ``hot_window`` and ``spill_dir`` configure *where* the recording
     lives: when ``hot_window`` is set, the recorder builds a tiered
     :class:`~repro.scroll.scroll.Scroll` that keeps at most that many
-    entries in memory and spills cold segments to ``spill_dir`` (a
-    private temporary directory when unset).  ``None`` keeps the whole
-    log in memory — the right choice for short runs and unit tests.
+    entries in memory and evicts sealed segments to a private store in
+    ``spill_dir`` (a temporary directory when unset); a durable flush
+    moves them into the run's store.  ``None`` keeps the whole log in
+    memory — the right choice for short runs and unit tests.
     """
 
     mode: InterceptionMode = InterceptionMode.SYSCALL

@@ -20,42 +20,98 @@ positional indexes as it grows:
 * :meth:`merge` streams already-ordered per-process logs through a heap
   (O(n log p)) instead of concatenating and re-sorting (O(n log n)).
 
-**Tiered storage.**  A Scroll constructed with a ``hot_window`` spills
-cold entries to disk so long production runs don't hold the whole log in
-memory.  Entries live in two tiers:
+**One log on disk, two seal triggers.**  The Scroll is the only owner of
+its on-disk form: one list of sealed segments, each ``count`` frames
+from global position ``first``, held as one content-addressed blob
+(:class:`~repro.blobs.BlobStore`) plus its frame offsets in memory
+(8 bytes per entry).  :meth:`Scroll.seal` encodes the unsealed tail
+``[sealed_end, len)`` through :func:`~repro.scroll.storage.encode_segment`
+into the Scroll's private store (a temporary directory, or
+``storage_dir``; unsynced, deleted with the Scroll).  Two things seal:
 
-* the *hot tier* — the most recent entries, plain Python objects in a
-  list;
-* the *cold tier* — everything older, serialized into immutable on-disk
-  segments managed by a :class:`~repro.scroll.storage.SegmentStore`
-  whose in-memory index maps each spilled position to its segment and
-  byte offset.
+* a **spill**.  A Scroll constructed with a ``hot_window`` keeps at most
+  that many entries in memory.  When an append overflows the window, the
+  Scroll seals the oldest half-window if nothing hot is sealed yet, and
+  then *evicts* whole sealed segments from memory until the hot tier
+  fits.  The *spill watermark* — the position of the first hot entry —
+  separates the tiers;
+* a **durable flush**
+  (:meth:`repro.timemachine.scroll_persistence.ScrollPersistence.flush`)
+  calls :meth:`persist`: the private segments and the unsealed tail
+  become one segment (frames are self-delimiting, so concatenated
+  segment bytes are a segment) bound for the run's durable store.  The
+  flush puts that blob and writes the sidecar naming this same list in
+  one lock window, so a store's ``gc()`` never sees a segment blob no
+  sidecar names.  Nothing is evicted.
 
-Whenever the hot tier exceeds ``hot_window`` entries, the oldest
-``segment_size`` of them (half the window by default) are written out as
-one segment and dropped from memory; the *spill watermark* — the count
-of spilled entries — separates the tiers.  All positional indexes store
-global positions, so every query contract is preserved: index hits below
-the watermark are served by seek-reads (with an LRU decode cache), hits
-above come straight from the hot list, and both appends and queries keep
-their amortized costs.  :meth:`truncate` cuts both tiers (and the
-indexes) at a position, which is how a Time-Machine rollback discards
-log suffixes that are in the rolled-back future.
+Without a ``hot_window`` and without a durable flush nothing is ever
+sealed, and :meth:`append` costs what an untiered list append costs.
+
+All positional indexes store global positions, so every query contract
+holds across the tiers: index hits below the watermark are *cold reads*
+(bisect the segment starts, then decode only the wanted frames, slicing
+a small LRU of raw segment bytes read through the validating
+``BlobStore.get``); hits above come straight from the hot list.
+:meth:`truncate` (a Time-Machine rollback discarding the rolled-back
+future) and :meth:`collect` (a committed line making the prefix
+unreachable) are list slices: a cut inside a sealed segment re-seals its
+kept prefix privately, so a blob always holds exactly its segment's
+frames.  Dropped private blobs are deleted; dropped durable ones are left
+to the store's ``gc()``.
 """
 
 from __future__ import annotations
 
 import heapq
+import shutil
 import sys
-from bisect import bisect_left
+import tempfile
+import weakref
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from collections.abc import Sequence as _SequenceABC
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.blobs import BlobStore
 from repro.dsim.clock import VectorTimestamp
 from repro.dsim.message import IdCounter
 from repro.scroll.entry import ActionKind, ScrollEntry
-from repro.scroll.storage import PathLike, SegmentStore
+from repro.scroll.storage import PathLike, decode_entry, encode_segment
+
+#: raw segments a cold read keeps in memory; replay walks each process's
+#: positions in order, so it needs the segment it is in and the next one
+RAW_CACHE_SEGMENTS = 2
+
+
+class Segment(NamedTuple):
+    """One sealed run of entries: ``count`` frames from global position ``first``."""
+
+    first: int
+    count: int
+    blob: str
+    #: byte offset of every frame, then the blob's length (``count + 1`` items)
+    offsets: array
+
+    @property
+    def end(self) -> int:
+        return self.first + self.count
+
+
+_FIRST = attrgetter("first")
+_END = attrgetter("end")
 
 
 class ScrollView(_SequenceABC):
@@ -122,15 +178,11 @@ class Scroll:
         Initial entries to append.
     hot_window:
         When given, enables tiered storage: the hot tier is kept at or
-        below this many entries by spilling the oldest to disk.
+        below this many entries by sealing the oldest into segments and
+        evicting them from memory.
     storage_dir:
-        Directory for the cold tier's segment files; a private temporary
-        directory (removed with the Scroll) is used when omitted.
-    segment_size:
-        Entries per spilled segment; defaults to half the hot window.
-    store:
-        An explicit :class:`SegmentStore` to spill into (overrides
-        ``storage_dir``).
+        Where the private segment store lives; a temporary directory
+        (removed with the Scroll) is used when omitted.
     base:
         Global position of the Scroll's first entry.  Non-zero when the
         Scroll is rebuilt from a persisted window (resume continuation):
@@ -149,8 +201,6 @@ class Scroll:
         *,
         hot_window: Optional[int] = None,
         storage_dir: Optional[PathLike] = None,
-        segment_size: Optional[int] = None,
-        store: Optional[SegmentStore] = None,
         base: int = 0,
         first_seq: int = 1,
     ) -> None:
@@ -160,15 +210,25 @@ class Scroll:
             raise ValueError("base must be non-negative")
         self._hot: List[ScrollEntry] = []
         self._hot_window = hot_window
-        self._segment_size = segment_size
         self._storage_dir = storage_dir
-        self._store = store
-        #: number of entries below the hot tier (spilled or rebased-away);
-        #: global positions below the watermark are on disk, the rest are
-        #: in ``_hot``.
+        #: the sealed segments, contiguous from ``_base`` to ``_sealed_end``;
+        #: the first ``_persisted`` live in ``_durable``, the rest in ``_private``
+        self._segments: List[Segment] = []
+        self._persisted = 0
+        self._durable: Optional[BlobStore] = None
+        self._private: Optional[BlobStore] = None
+        self._cleanup: Optional[weakref.finalize] = None
+        #: bytes of persisted segments whose durable put has not landed yet
+        self._pinned: Dict[str, bytes] = {}
+        self._sealed_end = int(base)
+        #: global position of the first hot entry; every position below
+        #: it is in a sealed, evicted segment (or collected)
         self._watermark = int(base)
-        #: the rebased start position (collected_base floor without a store)
+        #: global position of the first still-reachable entry
         self._base = int(base)
+        self._raws: "OrderedDict[str, bytes]" = OrderedDict()
+        #: blobs whose bytes were hashed once in this process
+        self._verified: set = set()
         #: positions (global) per process, per kind and per (pid, kind)
         self._by_pid: Dict[str, List[int]] = {}
         self._by_kind: Dict[ActionKind, List[int]] = {}
@@ -184,17 +244,49 @@ class Scroll:
         for entry in entries or ():
             self.append(entry)
 
+    @classmethod
+    def reopen(
+        cls,
+        segments: Iterable[Tuple[str, Sequence[ScrollEntry], array]],
+        blobs: BlobStore,
+        *,
+        base: int,
+        first_seq: int = 1,
+        hot_window: Optional[int] = None,
+    ) -> "Scroll":
+        """A Scroll that owns segments already sealed in ``blobs`` (resume).
+
+        ``segments`` yields ``(blob, entries, offsets)`` in log order,
+        contiguous from ``base`` and already validated by the caller.
+        Every entry is indexed, then whole segments are evicted until
+        the hot tier fits ``hot_window``, so a continuation keeps its
+        tier.
+        """
+        scroll = cls(base=base, first_seq=first_seq)
+        scroll._durable = blobs
+        for blob, entries, offsets in segments:
+            for entry in entries:
+                scroll.append(entry)
+            scroll._segments.append(Segment(scroll._sealed_end, len(entries), blob, offsets))
+            scroll._sealed_end += len(entries)
+            scroll._verified.add(blob)
+        scroll._persisted = len(scroll._segments)
+        if hot_window is not None:
+            scroll._hot_window = hot_window
+            scroll._spill()
+        return scroll
+
     # ------------------------------------------------------------------
     # tiering
     # ------------------------------------------------------------------
     @property
     def is_tiered(self) -> bool:
-        """True when this Scroll spills cold entries to disk."""
-        return self._hot_window is not None or self._store is not None
+        """True when this Scroll evicts cold entries from memory."""
+        return self._hot_window is not None
 
     @property
     def spill_watermark(self) -> int:
-        """Number of entries currently in the cold tier."""
+        """Global position of the first hot entry (the tier boundary)."""
         return self._watermark
 
     @property
@@ -202,45 +294,133 @@ class Scroll:
         """Number of entries currently resident in the hot tier."""
         return len(self._hot)
 
-    def _ensure_store(self) -> SegmentStore:
-        if self._store is None:
-            # Sized to hold one process's replay material (the replayer
-            # issues several queries over the same positions back to
-            # back) while staying small next to the hot window.  The
-            # store starts at the current watermark so a base-rebased
-            # Scroll (resume) spills at the right global positions.
-            cache = max(1024, (self._hot_window or 0) // 2)
-            self._store = SegmentStore(
-                self._storage_dir, cache_size=cache, base=self._watermark
-            )
-        return self._store
+    @property
+    def segments(self) -> Tuple[Segment, ...]:
+        """The sealed segments, in log order."""
+        return tuple(self._segments)
+
+    def _private_store(self) -> BlobStore:
+        if self._private is None:
+            directory = self._storage_dir
+            if directory is None:
+                directory = tempfile.mkdtemp(prefix="scroll-segments-")
+                self._cleanup = weakref.finalize(self, shutil.rmtree, directory, True)
+            # no fsync: the store dies with the Scroll, and a crash loses it anyway
+            self._private = BlobStore(directory, fsync=False)
+        return self._private
+
+    def seal(self, end: Optional[int] = None) -> Optional[Segment]:
+        """Seal ``[sealed_end, end)`` (default: the whole tail) as one private segment.
+
+        Returns the new segment, or None when nothing was unsealed.
+        Sealed entries stay hot until a spill evicts them.
+        """
+        start = self._sealed_end
+        end = len(self) if end is None else end
+        if end <= start:
+            return None
+        watermark = self._watermark
+        raw, offsets = encode_segment(self._hot[start - watermark:end - watermark])
+        name, _ = self._private_store().put(raw)
+        segment = Segment(start, end - start, name, offsets)
+        self._segments.append(segment)
+        self._sealed_end = end
+        return segment
+
+    def persist(self, durable: BlobStore) -> Tuple[Optional[Segment], bytes]:
+        """Merge every private segment, and the unsealed tail, into one bound for ``durable``.
+
+        Returns the merged segment and its bytes, or ``(None, b"")``
+        when everything is already persisted.  The segment joins the
+        durable part of the list at once; the caller puts the bytes into
+        ``durable`` and then calls :meth:`landed`, and until then reads
+        of the segment are served from those bytes.  The merged private
+        blobs are deleted.
+        """
+        self._durable = durable
+        private = self._segments[self._persisted:]
+        tail = self._hot[self._sealed_end - self._watermark:]
+        if not private and not tail:
+            return None, b""
+        raws = [self._raw(index) for index in range(self._persisted, len(self._segments))]
+        tail_raw, tail_offsets = encode_segment(tail)
+        raws.append(tail_raw)
+        offsets = array("q", [0])
+        for part in [segment.offsets for segment in private] + [tail_offsets]:
+            shift = offsets[-1]
+            offsets.extend(offset + shift for offset in islice(part, 1, None))
+        raw = b"".join(raws)
+        first = private[0].first if private else self._sealed_end
+        segment = Segment(first, len(self) - first, BlobStore.address(raw), offsets)
+        self._remove(self._persisted, len(self._segments))
+        self._segments.append(segment)
+        self._persisted = len(self._segments)
+        self._sealed_end = len(self)
+        self._pinned[segment.blob] = raw
+        return segment, raw
+
+    def landed(self, blob: str) -> None:
+        """The durable put of a :meth:`persist`ed segment has completed.
+
+        Safe to call from a background writer thread: it only drops the
+        in-memory copy, after which reads go to the durable store.
+        """
+        self._pinned.pop(blob, None)
 
     def _spill(self) -> None:
-        """Move the oldest hot entries into one new on-disk segment."""
-        segment_size = self._segment_size or max(1, (self._hot_window or 2) // 2)
-        count = min(segment_size, len(self._hot) - 1)  # keep the newest hot
-        if count <= 0:
-            return
-        store = self._ensure_store()
-        store.append_segment(self._hot[:count])
-        del self._hot[:count]
-        self._watermark += count
+        """Seal what the hot tier needs, then evict whole sealed segments until it fits."""
+        window = self._hot_window
+        while len(self._hot) > window:
+            if self._sealed_end == self._watermark:
+                self.seal(self._watermark + min(max(1, window // 2), len(self._hot) - 1))
+            # a persisted segment may straddle the watermark: evict its hot rest
+            segment = self._segments[bisect_right(self._segments, self._watermark, key=_FIRST) - 1]
+            del self._hot[:segment.end - self._watermark]
+            self._watermark = segment.end
+
+    def _remove(self, start: int, stop: int) -> None:
+        """Take segments ``[start, stop)`` out of the list.
+
+        Their private blobs are deleted; durable ones stay for the
+        durable store's ``gc()``.
+        """
+        dropped = self._segments[start:stop]
+        del self._segments[start:stop]
+        durable = max(0, min(stop, self._persisted) - start)
+        self._persisted -= durable
+        live = {segment.blob for segment in self._segments}
+        for offset, segment in enumerate(dropped):
+            if segment.blob in live:
+                continue
+            self._raws.pop(segment.blob, None)
+            self._verified.discard(segment.blob)
+            if offset < durable:
+                self._pinned.pop(segment.blob, None)
+            else:
+                self._private.delete(segment.blob)
 
     def storage_stats(self) -> Dict[str, object]:
         """Tier occupancy and cold-store statistics (for FixD stats/reports)."""
         stats: Dict[str, object] = {
             "entries": len(self),
             "hot_entries": len(self._hot),
-            # reachable spill only, agreeing with the store's own stats;
-            # the GC'd prefix is reported separately
-            "spilled_entries": self._watermark - self.collected_base,
-            "collected_entries": self.collected_base,
+            # reachable spill only; the GC'd prefix is reported separately
+            "spilled_entries": self._watermark - self._base,
+            "collected_entries": self._base,
             "tiered": self.is_tiered,
         }
-        if self._store is not None:
-            stats["store"] = self._store.stats()
-            stats["disk_bytes"] = self._store.disk_bytes()
+        if self._private is not None or self._durable is not None:
+            stats["store"] = {
+                "segments": len(self._segments),
+                "sealed_entries": self._sealed_end - self._base,
+                "index_bytes": self._index_bytes(),
+                "cached_segments": len(self._raws),
+            }
+            stats["disk_bytes"] = sum(segment.offsets[-1] for segment in self._segments)
         return stats
+
+    def _index_bytes(self) -> int:
+        return sum(len(segment.offsets) * segment.offsets.itemsize for segment in self._segments)
 
     def resident_bytes(self) -> int:
         """Approximate memory held by entry storage (hot tier + cold index).
@@ -248,17 +428,13 @@ class Scroll:
         Positional indexes are excluded: both tiered and in-memory
         Scrolls maintain identical index structures, so this number
         isolates what tiering actually changes — entry objects resident
-        in RAM versus a 24-byte-per-entry offset index.
+        in RAM versus 8 bytes of frame offset per sealed entry plus the
+        raw segments a cold read keeps.
         """
         total = sys.getsizeof(self._hot) + sum(
             _entry_resident_bytes(entry) for entry in self._hot
         )
-        if self._store is not None:
-            total += self._store.index_bytes()
-            total += sum(
-                _entry_resident_bytes(entry) for entry in self._store.cached_entries()
-            )
-        return total
+        return total + self._index_bytes() + sum(len(raw) for raw in self._raws.values())
 
     # ------------------------------------------------------------------
     # recording
@@ -302,28 +478,30 @@ class Scroll:
         ``0`` for a fresh log with no GC; the rebased start position for
         a Scroll rebuilt from a persisted window.
         """
-        return self._store.base if self._store is not None else self._base
+        return self._base
 
     def collect(self, min_position: int) -> int:
         """Garbage-collect the log prefix below ``min_position``.
 
         Called when a recovery line is *committed*: the system can never
         roll back past the line, so entries before its recorded Scroll
-        position are unreachable for recovery and their cold segments
-        can be unlinked from disk.  Only whole segments at or below the
-        spill watermark are dropped (the hot tier is never collected),
-        and the positional indexes are trimmed so queries stop mapping
-        the collected range.  Positions stay global: ``len(self)`` is
-        unchanged and later entries keep their positions; indexing into
-        the collected prefix raises ``IndexError``.  Returns the number
-        of entries collected.
+        position are unreachable for recovery.  Whole evicted segments
+        ending at or below ``min_position`` leave the segment list (the
+        hot tier is never collected), and the positional indexes are
+        trimmed so queries stop mapping the collected range.  Positions
+        stay global: ``len(self)`` is unchanged and later entries keep
+        their positions; indexing into the collected prefix raises
+        ``IndexError``.  Returns the number of entries collected.
         """
-        if self._store is None:
+        count = bisect_right(
+            self._segments, min(min_position, self._watermark), key=_END
+        )
+        if not count:
             return 0
-        removed = self._store.collect(min(min_position, self._watermark))
-        if not removed:
-            return 0
-        base = self._store.base
+        base = self._segments[count - 1].end
+        self._remove(0, count)
+        removed = base - self._base
+        self._base = base
         for index_map in (self._by_pid, self._by_kind, self._by_pid_kind):
             dead = []
             for key, positions in index_map.items():
@@ -348,13 +526,13 @@ class Scroll:
         """Forget every entry at position >= ``length`` in both tiers.
 
         Called when the Time Machine rolls the system back to a recovery
-        line whose checkpoints recorded the Scroll position (the spill
-        watermark plus the hot length at capture time): entries after
-        the line describe a future that no longer exists.  Cuts the hot
-        list, drops or shrinks cold segments, and trims every positional
-        index.  Returns the number of entries discarded.
+        line whose checkpoints recorded the Scroll position: entries
+        after the line describe a future that no longer exists.  Cuts
+        the hot list and the segment list (a segment the cut falls
+        inside is re-sealed as its kept prefix) and trims every
+        positional index.  Returns the number of entries discarded.
         """
-        length = max(self.collected_base, min(length, len(self)))
+        length = max(self._base, min(length, len(self)))
         removed = len(self) - length
         if removed == 0:
             return 0
@@ -373,9 +551,21 @@ class Scroll:
         if length >= self._watermark:
             del self._hot[length - self._watermark:]
         else:
-            self._store.truncate(length)
             self._watermark = length
             self._hot = []
+        if length < self._sealed_end:
+            index = bisect_right(self._segments, length, key=_FIRST) - 1
+            boundary = self._segments[index]
+            kept = length - boundary.first
+            # frames are self-delimiting: the byte prefix is the kept frames
+            prefix = self._raw(index)[:boundary.offsets[kept]] if kept else b""
+            self._remove(index, len(self._segments))
+            if prefix:
+                name, _ = self._private_store().put(prefix)
+                self._segments.append(
+                    Segment(boundary.first, kept, name, boundary.offsets[:kept + 1])
+                )
+            self._sealed_end = length
         return removed
 
     # ------------------------------------------------------------------
@@ -400,19 +590,55 @@ class Scroll:
         # newly cold positions.  Fetching each chunk atomically through
         # the position-addressed path keeps iteration append-safe, like
         # iterating the plain backing list used to be.
-        position = self.collected_base
+        position = self._base
         while position < len(self):
-            position = max(position, self.collected_base)  # GC between yields
+            position = max(position, self._base)  # GC between yields
             batch = self._range(position, min(position + chunk, len(self)))
             if not batch:
                 return
             yield from batch
             position += len(batch)
 
+    def _raw(self, index: int) -> bytes:
+        """Segment ``index``'s bytes, from the raw LRU or read (and once verified) from its store."""
+        name = self._segments[index].blob
+        raw = self._raws.get(name)
+        if raw is not None:
+            self._raws.move_to_end(name)
+            return raw
+        raw = self._pinned.get(name) if index < self._persisted else None
+        if raw is None:
+            store = self._durable if index < self._persisted else self._private
+            raw = store.get(name, verify=name not in self._verified)
+            self._verified.add(name)
+        self._raws[name] = raw
+        if len(self._raws) > RAW_CACHE_SEGMENTS:
+            self._raws.popitem(last=False)
+        return raw
+
+    def _cold(self, positions: Iterable[int]) -> List[ScrollEntry]:
+        """Decode the entries at evicted positions, one segment lookup per run."""
+        out: List[ScrollEntry] = []
+        first = end = 0
+        for position in positions:
+            if not first <= position < end:
+                if position < self._base:
+                    raise IndexError(
+                        f"Scroll position {position} was garbage-collected (base {self._base})"
+                    )
+                index = bisect_right(self._segments, position, key=_FIRST) - 1
+                segment = self._segments[index]
+                raw = memoryview(self._raw(index))
+                offsets = segment.offsets
+                first, end = segment.first, segment.end
+            frame = position - first
+            out.append(decode_entry(raw[offsets[frame]:offsets[frame + 1]]))
+        return out
+
     def _entry_at(self, position: int) -> ScrollEntry:
         if position >= self._watermark:
             return self._hot[position - self._watermark]
-        return self._store.get(position)
+        return self._cold((position,))[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -420,7 +646,7 @@ class Scroll:
             if step == 1:
                 return self._range(start, stop)
             # skip the collected prefix like the contiguous path does
-            base = self.collected_base
+            base = self._base
             return [
                 self._entry_at(position)
                 for position in range(start, stop, step)
@@ -449,7 +675,7 @@ class Scroll:
             hot = self._hot
             return [hot[position] for position in positions]
         split = bisect_left(positions, watermark)
-        cold = self._store.get_many(positions[:split]) if split else []
+        cold = self._cold(positions[:split]) if split else []
         hot = self._hot
         cold.extend(hot[position - watermark] for position in islice(positions, split, None))
         return cold
@@ -461,25 +687,16 @@ class Scroll:
         they no longer exist on any tier.
         """
         stop = min(stop, len(self))
-        start = max(self.collected_base, start)
+        start = max(self._base, start)
         if start >= stop:
             return []
         watermark = self._watermark
         if start >= watermark:
             return self._hot[start - watermark:stop - watermark]
-        cold = list(self._store.iter_range(start, min(stop, watermark)))
+        cold = self._cold(range(start, min(stop, watermark)))
         if stop > watermark:
             cold.extend(self._hot[:stop - watermark])
         return cold
-
-    def entries_between(self, start: int, stop: int) -> List[ScrollEntry]:
-        """Materialize the global position range ``[start, stop)``, tier-aware.
-
-        Positions below the garbage-collected base are skipped (they no
-        longer exist on any tier).  Durable Scroll persistence uses this
-        to frame the not-yet-flushed tail into a segment blob.
-        """
-        return self._range(start, stop)
 
     def entries_for(self, pid: str) -> List[ScrollEntry]:
         """All entries belonging to one process, in record order."""
@@ -675,9 +892,9 @@ class Scroll:
         return Scroll(ScrollEntry.from_record(record) for record in records)
 
     def close(self) -> None:
-        """Release the cold tier (file handles and any owned directory)."""
-        if self._store is not None:
-            self._store.close()
+        """Remove the private segment store's temporary directory, if any."""
+        if self._cleanup is not None:
+            self._cleanup()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

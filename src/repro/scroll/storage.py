@@ -1,45 +1,27 @@
-"""Tiered Scroll storage: on-disk entry segments behind an in-memory index.
+"""Scroll storage codecs: the sealed-segment framing and the JSONL format.
 
-The Scroll's cold tier lives here.  Entries are grouped into immutable
-*segments* — one file per segment, one compact pickled tuple per entry —
-and the store keeps an in-memory index mapping every spilled position to
-``(segment, byte offset, byte length)``.  The index is three parallel
-``array('q')`` columns (24 bytes per spilled entry), so a log can spill
-millions of entries while the resident cost of the cold tier stays two
-orders of magnitude below the entries themselves.
+A Scroll keeps its sealed segments (see :mod:`repro.scroll.scroll`) as
+content-addressed blobs; this module is how their bytes look.  A segment
+is the concatenation of one compact pickled
+``(pid, kind, time, detail, vt, seq)`` tuple per entry
+(:func:`encode_entry`), rather than the JSON line format
+:func:`save_scroll` uses: decoding sits on the replay hot path (every
+cold entry a query touches must be rebuilt), and the tuple pickle
+decodes 2-3x faster than JSON + :meth:`ScrollEntry.from_record
+<repro.scroll.entry.ScrollEntry.from_record>` while preserving payload
+types (tuples, bytes) exactly.
 
-The segment payload is a pickled ``(pid, kind, time, detail, vt, seq)``
-tuple rather than the JSON line format :func:`save_scroll` uses:
-decoding sits on the replay hot path (every cold entry a query touches
-must be rebuilt), and the tuple pickle decodes 2-3x faster than JSON +
-:meth:`~repro.scroll.entry.ScrollEntry.from_record` while preserving
-payload types (tuples, bytes) exactly.  Framing comes from the offset
-index, not from separators, so the files are not line-oriented; use
-:func:`save_scroll` when a human-readable artefact is needed.
+Pickle frames are self-delimiting, so a segment needs no separator and
+no index on disk.  :func:`encode_segment` and :func:`decode_segment`
+also return the frame offsets, which the Scroll keeps in memory (8 bytes
+per entry) so a cold read decodes only the frames it wants, and a cut
+inside a segment is a byte prefix: ``raw[:offsets[k]]`` holds exactly
+the first ``k`` frames.
 
-Reads go through the index: a point lookup seeks to the recorded offset
-and decodes one entry; a dense run of wanted positions is served by one
-span read; range iteration seeks once per segment and streams.  Decoded
-entries pass through a small LRU cache so the replay access pattern —
-several per-process queries touching the same positions back to back —
-decodes each spilled entry once.
-
-Segments are append-only and immutable; :meth:`SegmentStore.truncate`
-(rollback support) drops whole segments past the cut and shrinks the
-index into a boundary segment without rewriting its file.  The mirror
-operation, :meth:`SegmentStore.collect` (garbage collection), unlinks
-whole segments *before* a position: once a recovery line is committed
-the system can never roll back past it, so the log prefix below the
-line's recorded position is unreachable for recovery and its segments
-can be deleted.  Collection re-bases the offset index — the dropped
-rows are removed and every later position maps through a ``base``
-offset — so positions stay *global* and disk plus index cost stay
-proportional to the reachable window, not the whole history.
-
-The original whole-Scroll helpers (:func:`save_scroll`,
-:func:`load_scroll`, :func:`iter_scroll_records`, :func:`append_entry`)
-keep the append-friendly, diff-able JSONL format for snapshot-style
-persistence and interchange.
+The whole-Scroll helpers (:func:`save_scroll`, :func:`load_scroll`,
+:func:`iter_scroll_records`, :func:`append_entry`) keep the
+append-friendly, diff-able JSONL format for snapshot-style persistence
+and interchange.
 """
 
 from __future__ import annotations
@@ -47,22 +29,15 @@ from __future__ import annotations
 import io
 import json
 import pickle
-import shutil
-import tempfile
-import weakref
 from array import array
-from collections import OrderedDict
-from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.dsim.clock import VectorTimestamp
 from repro.scroll.entry import ActionKind, ScrollEntry
 
 PathLike = Union[str, Path]
-
-#: File name pattern for segment files inside a store directory.
-SEGMENT_PATTERN = "segment-{:06d}.seg"
 
 _KIND_BY_VALUE = {kind.value: kind for kind in ActionKind}
 
@@ -95,21 +70,21 @@ def decode_entry(blob: bytes) -> ScrollEntry:
     )
 
 
-def encode_segment(entries: Sequence[ScrollEntry]) -> bytes:
-    """Serialize a run of entries to one segment payload.
+def encode_segment(entries: Sequence[ScrollEntry]) -> Tuple[bytes, array]:
+    """Serialize a run of entries to one segment payload and its frame offsets.
 
-    The payload is simply the concatenation of :func:`encode_entry`
-    frames — the exact byte layout a :class:`SegmentStore` segment file
-    uses — so durable scroll-segment blobs share the store's framing and
-    identical entry runs address identical blobs.  Pickle frames are
-    self-delimiting, so no separate offset index is needed to decode.
+    The payload is the concatenation of :func:`encode_entry` frames;
+    ``offsets`` holds ``len(entries) + 1`` byte positions, the start of
+    every frame followed by the payload's end.
     """
-    return b"".join(encode_entry(entry) for entry in entries)
+    frames = [encode_entry(entry) for entry in entries]
+    return b"".join(frames), array("q", accumulate(map(len, frames), initial=0))
 
 
-def decode_segment(blob: bytes) -> List[ScrollEntry]:
-    """Rebuild the entry run from :func:`encode_segment` output."""
+def decode_segment(blob: bytes) -> Tuple[List[ScrollEntry], array]:
+    """Rebuild the entry run and its frame offsets from a segment payload."""
     entries: List[ScrollEntry] = []
+    offsets = array("q", [0])
     buffer = io.BytesIO(blob)
     end = len(blob)
     while buffer.tell() < end:
@@ -124,393 +99,8 @@ def decode_segment(blob: bytes) -> List[ScrollEntry]:
                 seq=seq,
             )
         )
-    return entries
-
-
-@dataclass
-class SegmentInfo:
-    """Metadata for one immutable on-disk segment."""
-
-    segment_id: int
-    path: Path
-    first_position: int  # global position of the segment's first entry
-    count: int           # entries currently indexed in this segment
-    byte_size: int       # bytes written (diagnostics only)
-
-    @property
-    def end_position(self) -> int:
-        return self.first_position + self.count
-
-
-def _cleanup_store(handles: Dict[int, IO[bytes]], directory: Optional[str]) -> None:
-    """Finalizer: close open segment handles and remove an owned directory."""
-    for handle in handles.values():
-        try:
-            handle.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-    handles.clear()
-    if directory is not None:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
-class SegmentStore:
-    """The cold tier: spilled Scroll entries in segment files + offset index.
-
-    Parameters
-    ----------
-    directory:
-        Where segment files live.  When omitted the store creates (and
-        owns) a temporary directory that is removed when the store is
-        garbage collected or :meth:`close` d.
-    cache_size:
-        Capacity of the decoded-entry LRU cache.  Sized to cover one
-        process's replay material by default; ``0`` disables caching.
-    base:
-        Global position of the store's first entry.  Non-zero when the
-        store backs a Scroll rebuilt from a persisted window (resume):
-        positions stay global, so a store created at ``base=N`` indexes
-        its first spilled entry at global position ``N``.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[PathLike] = None,
-        cache_size: int = 8192,
-        base: int = 0,
-    ) -> None:
-        owned: Optional[str] = None
-        if directory is None:
-            owned = tempfile.mkdtemp(prefix="scroll-segments-")
-            directory = owned
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.cache_size = cache_size
-        self._segments: List[SegmentInfo] = []
-        #: global position of the first still-reachable (uncollected) entry;
-        #: index row for global position p is ``p - _base``.
-        self._base = int(base)
-        # Parallel index columns, one slot per reachable spilled position.
-        self._seg_ids = array("q")
-        self._offsets = array("q")
-        self._lengths = array("q")
-        self._handles: Dict[int, IO[bytes]] = {}
-        self._cache: "OrderedDict[int, ScrollEntry]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._finalizer = weakref.finalize(self, _cleanup_store, self._handles, owned)
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
-    def append_segment(self, entries: Sequence[ScrollEntry]) -> SegmentInfo:
-        """Write ``entries`` as one new immutable segment and index them."""
-        if not entries:
-            raise ValueError("cannot write an empty segment")
-        segment_id = self._segments[-1].segment_id + 1 if self._segments else 0
-        path = self.directory / SEGMENT_PATTERN.format(segment_id)
-        first_position = self._base + len(self._seg_ids)
-        # Index the segment only after every byte is written: a failed
-        # write (full disk) must not leave phantom index rows pointing
-        # into a segment that was never registered.
-        offsets = array("q")
-        lengths = array("q")
-        offset = 0
-        with path.open("wb") as handle:
-            for entry in entries:
-                blob = encode_entry(entry)
-                handle.write(blob)
-                offsets.append(offset)
-                lengths.append(len(blob))
-                offset += len(blob)
-        self._seg_ids.extend([segment_id] * len(offsets))
-        self._offsets.extend(offsets)
-        self._lengths.extend(lengths)
-        info = SegmentInfo(
-            segment_id=segment_id,
-            path=path,
-            first_position=first_position,
-            count=len(entries),
-            byte_size=offset,
-        )
-        self._segments.append(info)
-        return info
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """End position of the store (collected prefix included in the count)."""
-        return self._base + len(self._seg_ids)
-
-    @property
-    def base(self) -> int:
-        """Global position of the first still-reachable entry (GC watermark)."""
-        return self._base
-
-    def _handle_for(self, segment_id: int) -> IO[bytes]:
-        handle = self._handles.get(segment_id)
-        if handle is None:
-            info = self._segment_by_id(segment_id)
-            handle = info.path.open("rb")
-            self._handles[segment_id] = handle
-        return handle
-
-    def _segment_by_id(self, segment_id: int) -> SegmentInfo:
-        # Segment ids are strictly increasing but not necessarily dense
-        # after truncation; the list stays small, scan from the back.
-        for info in reversed(self._segments):
-            if info.segment_id == segment_id:
-                return info
-        raise KeyError(f"no segment with id {segment_id}")
-
-    def _read_position(self, position: int) -> ScrollEntry:
-        row = position - self._base
-        handle = self._handle_for(self._seg_ids[row])
-        handle.seek(self._offsets[row])
-        return decode_entry(handle.read(self._lengths[row]))
-
-    def _cache_put(self, position: int, entry: ScrollEntry) -> None:
-        if self.cache_size <= 0:
-            return
-        self._cache[position] = entry
-        self._cache.move_to_end(position)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
-    def get(self, position: int) -> ScrollEntry:
-        """Fetch one spilled entry by its global position."""
-        if position < self._base:
-            raise IndexError(
-                f"spilled position {position} was garbage-collected (base {self._base})"
-            )
-        if position >= len(self):
-            raise IndexError(f"spilled position {position} out of range")
-        cached = self._cache.get(position)
-        if cached is not None:
-            self._cache.move_to_end(position)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        entry = self._read_position(position)
-        self._cache_put(position, entry)
-        return entry
-
-    #: span-read heuristic: bulk-read a run of positions when the bytes
-    #: fetched per wanted entry stay below this (i.e. the run is dense
-    #: enough that one big read beats one seek+read per entry).
-    _SPAN_BYTES_PER_HIT = 4096
-
-    def get_many(self, positions: Sequence[int]) -> List[ScrollEntry]:
-        """Fetch several spilled entries, preserving the given order.
-
-        Positions are expected in nondecreasing order (Scroll indexes are
-        position-sorted).  Runs of wanted positions that land densely in
-        one segment are served by a single span read — one syscall for
-        the whole run instead of one seek+read per entry — which is what
-        keeps replay-material queries on a heavily spilled log within
-        the same order of magnitude as the in-memory path.
-        """
-        out: List[Optional[ScrollEntry]] = [None] * len(positions)
-        misses: List[Tuple[int, int]] = []  # (output index, position)
-        for index, position in enumerate(positions):
-            if position < self._base:
-                # must fail as loudly as get(): a negative row would
-                # silently alias into the live index
-                raise IndexError(
-                    f"spilled position {position} was garbage-collected (base {self._base})"
-                )
-            cached = self._cache.get(position)
-            if cached is not None:
-                self._cache.move_to_end(position)
-                self.cache_hits += 1
-                out[index] = cached
-            else:
-                self.cache_misses += 1
-                misses.append((index, position))
-        run: List[Tuple[int, int]] = []
-        rebase = self._base
-
-        def flush_run() -> None:
-            if not run:
-                return
-            first, last = run[0][1] - rebase, run[-1][1] - rebase
-            span = self._offsets[last] + self._lengths[last] - self._offsets[first]
-            if len(run) >= 4 and span <= len(run) * self._SPAN_BYTES_PER_HIT:
-                handle = self._handle_for(self._seg_ids[first])
-                base = self._offsets[first]
-                handle.seek(base)
-                blob = handle.read(span)
-                for index, position in run:
-                    row = position - rebase
-                    start = self._offsets[row] - base
-                    entry = decode_entry(blob[start:start + self._lengths[row]])
-                    out[index] = entry
-                    self._cache_put(position, entry)
-            else:
-                for index, position in run:
-                    entry = self._read_position(position)
-                    out[index] = entry
-                    self._cache_put(position, entry)
-            run.clear()
-
-        for index, position in misses:
-            if run and (
-                self._seg_ids[position - rebase] != self._seg_ids[run[0][1] - rebase]
-                or position < run[-1][1]
-            ):
-                flush_run()
-            run.append((index, position))
-        flush_run()
-        return out
-
-    def iter_range(self, start: int, stop: int) -> Iterator[ScrollEntry]:
-        """Stream entries for global positions ``[start, stop)``.
-
-        Each read seeks to its own indexed offset first: segment handles
-        are shared per store, and arbitrary code may run between yields
-        (another iterator over the same segment, a point ``get``), so
-        the stream must never depend on the implicit file position.
-        Sequential seeks land inside the reader's buffer, keeping the
-        whole-log iteration path (merge, to_records, filter) one
-        buffered pass per segment.
-        """
-        stop = min(stop, len(self))
-        position = max(self._base, start)
-        while position < stop:
-            row = position - self._base
-            handle = self._handle_for(self._seg_ids[row])
-            handle.seek(self._offsets[row])
-            yield decode_entry(handle.read(self._lengths[row]))
-            position += 1
-
-    # ------------------------------------------------------------------
-    # truncation (rollback support)
-    # ------------------------------------------------------------------
-    def truncate(self, new_length: int) -> int:
-        """Forget every entry at position >= ``new_length``.
-
-        Whole segments past the cut are deleted from disk; a boundary
-        segment keeps its file (immutable) and only the index shrinks,
-        so the discarded tail bytes become unreachable.  Returns the
-        number of entries dropped.
-        """
-        new_length = max(self._base, new_length)
-        removed = len(self) - new_length
-        if removed <= 0:
-            return 0
-        cut_row = new_length - self._base
-        del self._seg_ids[cut_row:]
-        del self._offsets[cut_row:]
-        del self._lengths[cut_row:]
-        kept: List[SegmentInfo] = []
-        for info in self._segments:
-            if info.first_position >= new_length:
-                handle = self._handles.pop(info.segment_id, None)
-                if handle is not None:
-                    handle.close()
-                info.path.unlink(missing_ok=True)
-            else:
-                info.count = min(info.count, new_length - info.first_position)
-                kept.append(info)
-        self._segments = kept
-        for position in [p for p in self._cache if p >= new_length]:
-            del self._cache[position]
-        return removed
-
-    # ------------------------------------------------------------------
-    # garbage collection (committed recovery lines)
-    # ------------------------------------------------------------------
-    def collect(self, min_position: int) -> int:
-        """Unlink whole segments whose entries all precede ``min_position``.
-
-        The caller asserts that no future read will ask for a position
-        below ``min_position`` — in FixD that assertion is a *committed*
-        recovery line: the system can never roll back past it, so the
-        log prefix below the line's recorded position is unreachable.
-        Only whole segments are dropped (a boundary segment keeps its
-        immutable file); the offset index is re-based so the resident
-        index cost shrinks with the collected prefix.  Returns the
-        number of entries collected.
-        """
-        min_position = min(min_position, len(self))
-        removed = 0
-        kept_from = 0
-        for info in self._segments:
-            if info.end_position > min_position:
-                break
-            handle = self._handles.pop(info.segment_id, None)
-            if handle is not None:
-                handle.close()
-            info.path.unlink(missing_ok=True)
-            removed += info.count
-            kept_from += 1
-        if removed == 0:
-            return 0
-        self._segments = self._segments[kept_from:]
-        del self._seg_ids[:removed]
-        del self._offsets[:removed]
-        del self._lengths[:removed]
-        new_base = self._base + removed
-        for position in [p for p in self._cache if p < new_base]:
-            del self._cache[position]
-        self._base = new_base
-        return removed
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def index_bytes(self) -> int:
-        """Resident cost of the offset index (the price of the cold tier)."""
-        return sum(
-            column.buffer_info()[1] * column.itemsize
-            for column in (self._seg_ids, self._offsets, self._lengths)
-        )
-
-    def disk_bytes(self) -> int:
-        """Bytes currently reachable on disk across all segments."""
-        total = 0
-        for info in self._segments:
-            if info.count:
-                last = info.first_position + info.count - 1 - self._base
-                total += self._offsets[last] + self._lengths[last]
-        return total
-
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    def cached_entries(self) -> List[ScrollEntry]:
-        """The decoded entries currently resident in the LRU cache.
-
-        Exposed so memory accounting (``Scroll.resident_bytes``) can
-        charge the cache without depending on its representation.
-        """
-        return list(self._cache.values())
-
-    def clear_cache(self) -> None:
-        """Drop decoded entries (used by memory benchmarks)."""
-        self._cache.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "spilled_entries": len(self._seg_ids),
-            "collected_entries": self._base,
-            "segments": len(self._segments),
-            "index_bytes": self.index_bytes(),
-            "cache_entries": len(self._cache),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
-    def close(self) -> None:
-        """Close handles and remove the directory if the store owns it."""
-        self._finalizer()
-
-    def __enter__(self) -> "SegmentStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        offsets.append(buffer.tell())
+    return entries, offsets
 
 
 # ----------------------------------------------------------------------

@@ -23,12 +23,8 @@ The package provides:
   facade that FixD uses.
 """
 
-from repro.timemachine.blobstore import (  # facade-ok
-    BlobStore,
-    DurableCheckpointStore,
-    IntegrityReport,
-    check_flush_mode,
-)
+from repro.blobs import BlobStore, IntegrityReport
+from repro.timemachine.blobstore import DurableCheckpointStore, check_flush_mode  # facade-ok
 from repro.timemachine.checkpoint import CheckpointStore, GlobalCheckpoint, LocalCheckpointLog
 from repro.timemachine.comm_induced import CommunicationInducedCheckpointing, PeriodicCheckpointing
 from repro.timemachine.coordinated import CoordinatedSnapshotter

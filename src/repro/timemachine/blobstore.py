@@ -6,18 +6,11 @@ capture.  This module makes *committed* lines durable with the same
 content-addressing idea taken to disk:
 
 * every chunk of every checkpointed state value is pickled and stored as
-  a **SHA-256-named blob file** (``blobs/<aa>/<sha256>.blob``, sharded
-  by the first address byte).  Identical chunks — across keys,
-  checkpoints, processes and even runs — share one file, so dedup comes
-  free from the naming scheme;
-* blob writes are **atomic and durable**: bytes go to a ``*.tmp`` file
-  in the same directory, are fsynced, ``os.replace``d into the final
-  name, and the parent directory is fsynced so the rename itself
-  survives power loss.  A writer killed mid-flush leaves at worst an
-  orphaned or truncated tmp file, never a half-written addressed blob;
-* reads **validate integrity**: a blob whose bytes no longer hash to its
-  file name raises :class:`repro.errors.BlobIntegrityError` instead of
-  silently restoring corrupt state;
+  a blob in a :class:`repro.blobs.BlobStore` — SHA-256-named files,
+  written atomically and fsynced, validated on read.  Identical chunks —
+  across keys, checkpoints, processes and even runs — share one file, so
+  dedup comes free from the naming scheme.  A writer killed mid-flush
+  leaves at worst an orphaned tmp file, never a half-written blob;
 * **run-scoped manifests** (``runs/<run_id>/run.json`` plus one
   ``line-NNNNNN.json`` per committed recovery line, both atomically
   written JSON) record which blobs make up each committed line, along
@@ -49,24 +42,23 @@ conventional content-address format for on-disk stores.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.blobs import BlobStore, _atomic_write
 from repro.dsim.clock import VectorTimestamp
 from repro.dsim.process import ProcessCheckpoint
-from repro.errors import BlobIntegrityError, CheckpointError
+from repro.errors import CheckpointError
 from repro.timemachine.cow import (
     DEFAULT_CHUNK_ELEMS,
     DEFAULT_CHUNK_THRESHOLD,
@@ -116,31 +108,6 @@ def _captured_entries(key: Any, entry: Any):
     if isinstance(entry, _CachedChunked):
         return key, entry.kind, list(entry.chunks), list(entry.order)
     return key, "whole", [entry], []
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename into it survives power loss, not just a crash."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. directories are not openable
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystems without dir fsync
-        pass
-    finally:
-        os.close(fd)
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via tmp+rename so readers never see a torn file."""
-    tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
 
 
 def _line_scroll_position(manifest: Dict[str, Any]) -> Optional[int]:
@@ -233,129 +200,6 @@ class _StoreLock:
 
     def exclusive(self):
         return self._held(fcntl.LOCK_EX if fcntl else 0)
-
-
-@dataclass
-class IntegrityReport:
-    """What :meth:`BlobStore.validate_integrity` found (and optionally repaired)."""
-
-    blobs_checked: int = 0
-    corrupt: List[str] = field(default_factory=list)
-    tmp_orphans: int = 0
-    removed: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.corrupt
-
-
-class BlobStore:
-    """SHA-256-addressed blob files with atomic writes and validated reads."""
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.blob_root = self.root / "blobs"
-        self.blob_root.mkdir(parents=True, exist_ok=True)
-        self._write_counter = 0
-
-    @staticmethod
-    def address(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    def _path(self, name: str) -> Path:
-        return self.blob_root / name[:2] / f"{name}.blob"
-
-    def put(self, data: bytes) -> Tuple[str, bool]:
-        """Store ``data``; returns ``(address, written)``.
-
-        ``written`` is False when a blob with this address already
-        exists — the content-addressed dedup case — in which case no
-        bytes touch the disk.
-        """
-        name = self.address(data)
-        path = self._path(name)
-        if path.exists():
-            return name, False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_counter += 1
-        tmp = path.parent / f"{name}.{os.getpid()}.{self._write_counter}.tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-        return name, True
-
-    def get(self, name: str) -> bytes:
-        """Read a blob, verifying its bytes still hash to its address."""
-        path = self._path(name)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise CheckpointError(f"blob {name!r} is missing from the store") from None
-        if self.address(data) != name:
-            raise BlobIntegrityError(
-                f"blob {name!r} failed integrity validation: stored bytes hash to "
-                f"{self.address(data)!r}"
-            )
-        return data
-
-    def exists(self, name: str) -> bool:
-        return self._path(name).exists()
-
-    def delete(self, name: str) -> bool:
-        try:
-            self._path(name).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
-    def blob_names(self) -> Iterator[str]:
-        for shard in sorted(self.blob_root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.suffix == ".blob":
-                    yield entry.stem
-
-    def bytes_on_disk(self) -> int:
-        return sum(
-            entry.stat().st_size
-            for shard in self.blob_root.iterdir()
-            if shard.is_dir()
-            for entry in shard.iterdir()
-            if entry.suffix == ".blob"
-        )
-
-    def validate_integrity(self, repair: bool = False) -> IntegrityReport:
-        """Re-hash every blob and sweep writer-crash leftovers.
-
-        Orphaned ``*.tmp`` files (a writer died between write and
-        rename) are always removed — they were never addressable, so no
-        committed line can reference them.  Corrupt addressed blobs are
-        reported, and removed only with ``repair=True`` (a removed blob
-        surfaces as a missing-blob error on restore rather than as
-        silently wrong bytes).
-        """
-        report = IntegrityReport()
-        for shard in sorted(self.blob_root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.name.endswith(".tmp"):
-                    entry.unlink()
-                    report.tmp_orphans += 1
-                    continue
-                if entry.suffix != ".blob":
-                    continue
-                report.blobs_checked += 1
-                if self.address(entry.read_bytes()) != entry.stem:
-                    report.corrupt.append(entry.stem)
-                    if repair:
-                        entry.unlink()
-                        report.removed += 1
-        return report
 
 
 class DurableCheckpointStore:
@@ -624,7 +468,7 @@ class DurableCheckpointStore:
         committed_position: Optional[int] = None,
         msg_id_next: int = 1,
     ) -> Dict[str, int]:
-        """Persist the Scroll tail (and in-flight snapshot) for this run.
+        """Seal the Scroll's tail and name its segments (and in-flight snapshot).
 
         Delegates to the run's scroll-persistence sidecar; see
         :meth:`repro.timemachine.scroll_persistence.ScrollPersistence.flush`.
@@ -634,7 +478,7 @@ class DurableCheckpointStore:
         )
 
     def scroll_entries_pending(self, scroll) -> int:
-        """Recorded entries not yet covered by a durable segment."""
+        """Recorded entries no durable sidecar names yet."""
         return self.scroll_persistence.pending_entries(scroll)
 
     @classmethod
@@ -645,11 +489,11 @@ class DurableCheckpointStore:
         return ScrollPersistence.load_sidecar(root, run_id)
 
     @classmethod
-    def rebuild_scroll(cls, root, run_id: str):
+    def rebuild_scroll(cls, root, run_id: str, hot_window: Optional[int] = None):
         """Rebuild ``(scroll, sidecar, pending)`` for a resumed continuation."""
         from repro.timemachine.scroll_persistence import ScrollPersistence
 
-        return ScrollPersistence.rebuild(root, run_id)
+        return ScrollPersistence.rebuild(root, run_id, hot_window)
 
     # ------------------------------------------------------------------
     # rotation / GC

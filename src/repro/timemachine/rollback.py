@@ -123,6 +123,9 @@ class RollbackManager:
         ``save_scroll`` before truncating (FixD captures the bug-report
         tail first for the same reason).
 
+        On a durable run the sidecar is rewritten before the run
+        continues, so the durable log never names the discarded future.
+
         Returns the number of entries discarded (0 when the cluster has
         no registered Scroll or the line predates Scroll recording).
         """
@@ -130,7 +133,10 @@ class RollbackManager:
         position = line.scroll_position()
         if scroll is None or position is None:
             return 0
-        return scroll.truncate(position)
+        removed = scroll.truncate(position)
+        if removed:
+            self._flush_scroll()
+        return removed
 
     def _check_not_past_commit(self, line: RecoveryLine) -> None:
         """Refuse to roll back past a committed recovery line.
@@ -158,8 +164,7 @@ class RollbackManager:
         Committing is the garbage-collection trigger of the log-bounding
         story: everything on the Scroll *before* the committed line's
         recorded position is unreachable for any future rollback, so the
-        cold-tier segments holding it are unlinked from disk and the
-        offset index is re-based
+        evicted segments holding it leave the Scroll's segment list
         (:meth:`repro.scroll.scroll.Scroll.collect`).  The line itself
         and everything after it stay fully replayable.  Returns the
         number of Scroll entries collected (0 when the cluster has no

@@ -1,4 +1,4 @@
-"""Durable Scroll persistence: segment blobs + a per-run sidecar manifest.
+"""Durable Scroll persistence: a per-run sidecar naming the Scroll's segments.
 
 The durable checkpoint store (:mod:`repro.timemachine.blobstore`) makes
 *state* survive a crash; this module makes the recorded *nondeterminism*
@@ -9,36 +9,42 @@ the recorded history forward from the line to the crash point, and the
 persisted in-flight events re-arm the scheduler so the run simply keeps
 going.
 
-Layout, sharing the blob store's content-addressing:
+The Scroll owns its on-disk form (:mod:`repro.scroll.scroll`): one list
+of content-addressed segment blobs.  Spills seal into the Scroll's
+private store; a flush here
 
-* each flush appends **one segment blob** covering the Scroll entries
-  recorded since the previous flush.  The payload is the same
-  self-delimiting pickled-tuple framing the spill tier uses
-  (:func:`repro.scroll.storage.encode_segment`), stored under its
-  SHA-256 address — identical windows across twin runs dedup to one
-  file, and reads validate integrity like any other blob;
-* the scheduler's in-flight deliveries and timers are captured as **one
-  pickled pending blob** per flush (the newest wins — pending events
-  are a snapshot, not a log);
-* a per-run **sidecar manifest** (``runs/<run_id>/scroll.json``,
-  atomically rewritten last, under the store's shared flush lock)
-  names the live segments in order, the pending blob, and the id
-  frontiers read from their owners at flush time: the Scroll's next
-  ``seq_next`` and the cluster's ``msg_id_next``, which a continuation
-  passes to the rebuilt ``Scroll`` and ``Cluster`` constructors.
+* asks the Scroll to persist (on the caller's thread): its private
+  segments and unsealed tail become one segment in its own list, bound
+  for the run's blob store;
+* stores the scheduler's in-flight deliveries and timers as **one
+  pickled pending blob** (the newest wins — pending events are a
+  snapshot, not a log);
+* atomically rewrites the per-run **sidecar manifest**
+  (``runs/<run_id>/scroll.json``).  It names the Scroll's segments in
+  order, the pending blob, and the id frontiers read from their owners
+  at flush time: the Scroll's next ``seq_next`` and the cluster's
+  ``msg_id_next``, which a continuation passes to the rebuilt
+  ``Scroll`` and ``Cluster`` constructors.
 
-A flush is segment-granular, not per-entry: callers flush on line
-commits and on an entry-count threshold between commits, so the durable
-log trails the hot log by at most one window.  A crash mid-flush leaves
-the previous sidecar as the newest readable one — blobs land first,
-the sidecar rename is last — so a rebuilt Scroll never contains a torn
-suffix.
+The segment put, the pending put and the sidecar rename share one
+shared-lock window, so a store's ``gc()`` never runs between a segment
+blob and the sidecar naming it; in pipelined mode that window is a job
+queued behind the line flush it belongs to.  A flush is
+segment-granular, not per-entry: callers flush on line commits, on an
+entry-count threshold between commits and after a truncating rollback,
+so the durable log trails the hot log by at most one window and never
+names a rolled-back future.  A crash mid-flush leaves the previous
+sidecar as the newest readable one — blobs land first, the sidecar
+rename is last — so a rebuilt Scroll never contains a torn suffix.
 
-Committing a recovery line prunes: segments entirely below the
-committed position are dropped from the sidecar (their blobs become
-GC candidates once unreferenced), mirroring the hot Scroll's
-``collect``.  The rebuilt Scroll is therefore *based* at the first kept
-segment's position — positions stay global, exactly as in the live run.
+Committing a recovery line prunes: an untiered Scroll's segments
+entirely below the committed position are left out of the sidecar, and
+a tiered Scroll's ``collect`` drops its evicted prefix from the list the
+sidecar is written from; their blobs become GC candidates once
+unreferenced.  The rebuilt Scroll is therefore *based* at the first
+named segment's position — positions stay global, exactly as in the live
+run — and it owns the named segments, so a continuation keeps its
+``hot_window``.
 """
 
 from __future__ import annotations
@@ -48,16 +54,17 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.blobs import BlobStore, _atomic_write
 from repro.errors import CheckpointError
-from repro.scroll.entry import ScrollEntry
 from repro.scroll.scroll import Scroll
-from repro.scroll.storage import decode_segment, encode_segment
+from repro.scroll.storage import decode_segment
 
 #: sidecar manifest schema; bump with a migration when the shape changes
 SCROLL_SIDECAR_SCHEMA = 1
 
+
 class ScrollPersistence:
-    """Flushes a live Scroll's tail into a durable store, incrementally.
+    """Writes a live Scroll's sidecar into a durable store, incrementally.
 
     Instances are owned by a :class:`DurableCheckpointStore` (one per
     run) and share its blob store, run directory and flush lock; the
@@ -71,26 +78,22 @@ class ScrollPersistence:
         self._lock = store._lock
         self.run_id = store.run_id
         self.sidecar_path = store.run_dir / "scroll.json"
-        self._segments: List[Dict[str, Any]] = []
+        #: Scroll length the newest sidecar covers
         self._flushed_end = 0
+        #: highest committed position: segments below it leave the sidecar
+        self._committed = 0
         self.flushes = 0
         self.segment_bytes = 0
         existing = _read_sidecar(self.sidecar_path)
         if existing is not None:
             # a continued run picks up where the previous process stopped
-            self._segments = list(existing.get("segments", ()))
             self._flushed_end = int(existing.get("position", 0))
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    @property
-    def flushed_position(self) -> int:
-        """Scroll length already covered by durable segments."""
-        return self._flushed_end
-
     def pending_entries(self, scroll: Scroll) -> int:
-        """How many recorded entries are not yet durable."""
+        """How many recorded entries no sidecar names yet."""
         return max(0, len(scroll) - max(self._flushed_end, scroll.collected_base))
 
     def flush(
@@ -101,88 +104,78 @@ class ScrollPersistence:
         committed_position: Optional[int] = None,
         msg_id_next: int = 1,
     ) -> Dict[str, int]:
-        """Make the Scroll tail since the last flush durable.
+        """Make the whole Scroll durable and name it in the sidecar.
 
-        Appends one segment blob for ``[flushed_end, len(scroll))``,
-        stores ``pending`` (the scheduler's in-flight snapshot) as one
-        pickled blob, prunes segments below ``committed_position`` when
-        given, and atomically rewrites the sidecar — blobs first,
-        sidecar last, under the store's shared lock, so a crash at any
-        point leaves a consistent (at worst slightly stale) durable log.
+        Asks the Scroll to :meth:`~repro.scroll.scroll.Scroll.persist`
+        everything not yet in this store as one segment, then puts that
+        segment blob and ``pending`` (the scheduler's in-flight snapshot,
+        one pickled blob) and atomically rewrites the sidecar from the
+        Scroll's segment list — all in one shared-lock window, blobs
+        first and sidecar last, so a crash at any point leaves a
+        consistent (at worst slightly stale) durable log and a ``gc()``
+        never falls between a blob and the sidecar naming it.
 
-        The live Scroll is read on the caller's (hot) path: the tail
-        slice, the in-flight snapshot and the id frontiers (``seq_next``
-        and the cluster's ``msg_id_next``) are taken at one instant, so a
-        continuation never sees history past its snapshot, nor reuses an id.
-        In pipelined mode only the encoding, blob puts and sidecar
-        rename run on the background writer — queued after the line
-        flush they belong to, so the sidecar can never prune a replay
-        window before the manifest referencing it is durable.
+        The sidecar names every segment the Scroll may still read: all
+        of a tiered Scroll's list (its evicted segments are read back
+        from this store), and an untiered Scroll's segments above the
+        highest ``committed_position`` seen (it never reads one again).
+
+        The segment list, the in-flight snapshot and the id frontiers
+        (``seq_next`` and the cluster's ``msg_id_next``) are read at one
+        instant on the caller's thread, so a continuation never sees
+        history past its snapshot, nor reuses an id.  In pipelined mode
+        the puts and the sidecar rename run on the background writer,
+        queued after the line flush they belong to, so the sidecar can
+        never prune a replay window before the manifest referencing it
+        is durable.
         """
-        counters = {"segments_written": 0, "entries_flushed": 0, "segment_bytes": 0}
-        start = max(self._flushed_end, scroll.collected_base)
-        end = len(scroll)
-        entries = scroll.entries_between(start, end) if end > start else []
-        self._flushed_end = max(self._flushed_end, end)
-        frontier = self._flushed_end
-        ids = {"seq_next": scroll.seqs.peek(), "msg_id_next": int(msg_id_next)}
-        now = float(now)
-
-        def job() -> None:
-            with self._lock.shared():
-                self._write_flush(
-                    entries, start, frontier, ids, pending, now, committed_position, counters
-                )
-            self.flushes += 1
-
-        # the retained payload is the entry list plus the pending snapshot;
-        # a rough per-entry estimate is plenty for queue backpressure
-        self._store._submit(job, cost=len(entries) * 256)
-        return counters
-
-    def _write_flush(
-        self,
-        entries: List[ScrollEntry],
-        start: int,
-        frontier: int,
-        ids: Dict[str, int],
-        pending: Optional[Dict[str, Any]],
-        now: float,
-        committed_position: Optional[int],
-        counters: Dict[str, int],
-    ) -> None:
-        if entries:
-            blob = encode_segment(entries)
-            name, _ = self._blobs.put(blob)
-            self._segments.append({"first": start, "count": len(entries), "blob": name})
-            counters["segments_written"] = 1
-            counters["entries_flushed"] = len(entries)
-            counters["segment_bytes"] = len(blob)
-            self.segment_bytes += len(blob)
+        segment, raw = scroll.persist(self._blobs)
         if committed_position is not None:
-            self._segments = [
-                segment
-                for segment in self._segments
-                if segment["first"] + segment["count"] > committed_position
-            ]
-        pending_name: Optional[str] = None
-        if pending is not None:
-            pending_blob = pickle.dumps(pending, protocol=pickle.HIGHEST_PROTOCOL)
-            pending_name, _ = self._blobs.put(pending_blob)
-            counters["segment_bytes"] += len(pending_blob)
-            self.segment_bytes += len(pending_blob)
-        start_position = self._segments[0]["first"] if self._segments else frontier
+            self._committed = max(self._committed, committed_position)
+        floor = scroll.collected_base if scroll.is_tiered else self._committed
+        named = [kept for kept in scroll.segments if kept.end > floor]
+        start, frontier = self._flushed_end, len(scroll)
+        self._flushed_end = frontier
+        counters = {
+            "segments_written": int(segment is not None),
+            "entries_flushed": max(0, frontier - start),
+            "segment_bytes": len(raw),
+        }
         sidecar = {
             "schema": SCROLL_SIDECAR_SCHEMA,
             "run_id": self.run_id,
-            "flush_time": now,
+            "flush_time": float(now),
             "position": frontier,
-            "start": start_position,
-            **ids,
-            "segments": self._segments,
-            "pending": pending_name,
+            "start": named[0].first if named else frontier,
+            "seq_next": scroll.seqs.peek(),
+            "msg_id_next": int(msg_id_next),
+            "segments": [
+                {"first": kept.first, "count": kept.count, "blob": kept.blob}
+                for kept in named
+            ],
+            "pending": None,
         }
-        _atomic_write_json(self.sidecar_path, sidecar)
+
+        def job() -> None:
+            with self._lock.shared():
+                if segment is not None:
+                    self._blobs.put(raw)
+                    scroll.landed(segment.blob)
+                if pending is not None:
+                    blob = pickle.dumps(pending, protocol=pickle.HIGHEST_PROTOCOL)
+                    sidecar["pending"], _ = self._blobs.put(blob)
+                    counters["segment_bytes"] += len(blob)
+                _atomic_write(
+                    self.sidecar_path,
+                    (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+                )
+            self.flushes += 1
+            self.segment_bytes += counters["segment_bytes"]
+
+        # the retained payload is the segment bytes plus the pending
+        # snapshot; a rough per-event estimate is plenty for backpressure
+        self._store._submit(job, cost=len(raw) + 256 * len((pending or {}).get("events", ())))
+        return counters
 
     # ------------------------------------------------------------------
     # read path (resume runs without the writing process)
@@ -194,16 +187,18 @@ class ScrollPersistence:
 
     @classmethod
     def rebuild(
-        cls, root, run_id: str
+        cls, root, run_id: str, hot_window: Optional[int] = None
     ) -> Tuple[Scroll, Dict[str, Any], Optional[Dict[str, Any]]]:
         """Rebuild ``(scroll, sidecar, pending)`` from the durable store.
 
         Every segment and the pending snapshot are read through the
         validating blob store, so corrupt bytes raise
         :class:`~repro.errors.BlobIntegrityError` instead of silently
-        replaying garbage.  The Scroll is based at the sidecar's
-        ``start`` so positions match the original run's global numbering
-        (and its next entry is ``seq_next``).
+        replaying garbage, and every segment must decode to the count
+        the sidecar names.  The Scroll owns the named segments, is based
+        at the sidecar's ``start`` so positions match the original run's
+        global numbering (its next entry is ``seq_next``), and evicts
+        down to ``hot_window``.
         """
         sidecar = cls.load_sidecar(root, run_id)
         if sidecar is None:
@@ -217,10 +212,8 @@ class ScrollPersistence:
                 f"scroll sidecar schema {schema} is newer than supported "
                 f"({SCROLL_SIDECAR_SCHEMA}); upgrade before resuming"
             )
-        from repro.timemachine.blobstore import BlobStore
-
         blobs = BlobStore(root)
-        entries: List[ScrollEntry] = []
+        segments = []
         expected = sidecar.get("start", 0)
         for segment in sidecar.get("segments", ()):
             first = int(segment["first"])
@@ -229,15 +222,21 @@ class ScrollPersistence:
                     f"scroll sidecar of run {run_id!r} is not contiguous: "
                     f"segment starts at {first}, expected {expected}"
                 )
-            decoded = decode_segment(blobs.get(segment["blob"]))
-            if len(decoded) != int(segment["count"]):
+            entries, offsets = decode_segment(blobs.get(segment["blob"]))
+            if len(entries) != int(segment["count"]):
                 raise CheckpointError(
                     f"scroll segment {segment['blob'][:12]}… of run {run_id!r} "
-                    f"decoded {len(decoded)} entries, manifest says {segment['count']}"
+                    f"decoded {len(entries)} entries, manifest says {segment['count']}"
                 )
-            entries.extend(decoded)
-            expected = first + len(decoded)
-        scroll = Scroll(entries, base=sidecar.get("start", 0), first_seq=sidecar.get("seq_next", 1))
+            segments.append((segment["blob"], entries, offsets))
+            expected = first + len(entries)
+        scroll = Scroll.reopen(
+            segments,
+            blobs,
+            base=sidecar.get("start", 0),
+            first_seq=sidecar.get("seq_next", 1),
+            hot_window=hot_window,
+        )
         pending: Optional[Dict[str, Any]] = None
         if sidecar.get("pending"):
             pending = pickle.loads(blobs.get(sidecar["pending"]))
@@ -325,16 +324,16 @@ def capture_pending(backend) -> Optional[Dict[str, Any]]:
     return snapshot
 
 
-def _atomic_write_json(path: Path, document: Dict[str, Any]) -> None:
-    from repro.timemachine.blobstore import _atomic_write
-
-    _atomic_write(
-        path, (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    )
-
-
 def _read_sidecar(path: Path) -> Optional[Dict[str, Any]]:
+    """The sidecar at ``path``; None only when there is none.
+
+    Sidecars are written atomically, so one that exists but does not
+    parse is damage, and it raises rather than passing for "never
+    flushed".
+    """
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
+    except FileNotFoundError:
         return None
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise CheckpointError(f"scroll sidecar {str(path)!r} is unreadable: {error}") from None

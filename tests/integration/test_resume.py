@@ -38,6 +38,7 @@ def kv_scenario(
     until: float,
     flush_mode: str = "sync",
     faults=None,
+    hot_window=None,
 ) -> Scenario:
     return Scenario(
         app="kvstore",
@@ -49,6 +50,7 @@ def kv_scenario(
         checkpoint_store="disk",
         store_path=store,
         flush_mode=flush_mode,
+        hot_window=hot_window,
         **({"faults": faults} if faults is not None else {}),
     )
 
@@ -264,7 +266,7 @@ class TestResume:
         def window(scroll):
             return [
                 (entry.seq, entry.pid, entry.kind, entry.time, entry.detail)
-                for entry in scroll.entries_between(start, len(scroll))
+                for entry in scroll[start:len(scroll)]
             ]
 
         assert window(continued) == window(twin)
@@ -363,3 +365,164 @@ class TestResume:
             ]
         ).run()[0]
         assert outcome.store is None
+
+
+class TestOneScrollLog:
+    """The Scroll owns its sealed segments; the sidecar names that same list."""
+
+    def test_truncating_rollback_rewrites_the_durable_log(self, tmp_path, flush_mode):
+        """Regression: the sidecar kept its own segment list and flush
+        frontier, so after a truncating rollback the next flush named the
+        rolled-back future at positions the new entries should hold."""
+        from repro.scroll.entry import ActionKind
+        from repro.scroll.interceptor import InterceptionMode, RecordingPolicy
+        from repro.scroll.recorder import ScrollRecorder
+        from repro.timemachine.time_machine import TimeMachine, TimeMachineConfig
+
+        from tests.conftest import PingPong, make_cluster
+
+        store = str(tmp_path / "store")
+        recorder = ScrollRecorder(policy=RecordingPolicy(InterceptionMode.SYSCALL))
+        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
+        cluster.add_hook(recorder)
+        time_machine = TimeMachine(
+            TimeMachineConfig(
+                checkpoint_store="disk", store_path=store, run_id="cut", flush_mode=flush_mode
+            )
+        )
+        time_machine.attach(cluster)
+        cluster.run(max_events=8)
+        scroll = recorder.scroll
+        line = time_machine.latest_recovery_line()
+        assert (len(scroll), line.scroll_position()) == (17, 13)
+        manager = time_machine.rollback_manager
+        assert manager.maybe_flush_scroll(1)
+        time_machine.rollback_to(line, truncate_scroll=True)
+        assert len(scroll) == 13
+        time_machine.durable_store.drain()
+        # the rollback already rewrote the sidecar: no rolled-back future
+        _, sidecar, _ = DurableCheckpointStore.rebuild_scroll(store, "cut")
+        assert sidecar["position"] == 13
+        for value in range(6):
+            scroll.record("p1", ActionKind.RANDOM, 20.0 + value, {"method": "random", "value": value})
+        assert manager.maybe_flush_scroll(1)
+        time_machine.durable_store.drain()
+        rebuilt, sidecar, _ = DurableCheckpointStore.rebuild_scroll(store, "cut")
+        assert sidecar["position"] == len(rebuilt) == 19
+        assert rebuilt.to_records() == scroll.to_records()
+
+    @pytest.mark.parametrize("damaged", ["segment", "pending"])
+    def test_resume_refuses_a_corrupt_scroll(self, store_path, damaged):
+        """Regression: resume swallowed every CheckpointError from the
+        Scroll rebuild, so one flipped byte in a segment or pending blob
+        silently degraded the run to a state-only resume."""
+        from repro.errors import BlobIntegrityError
+
+        outcome = Experiment([kv_scenario("corrupt", store_path, until=4.0)]).run()[0]
+        sidecar = DurableCheckpointStore.load_scroll_sidecar(store_path, outcome.run_id)
+        name = sidecar["segments"][0]["blob"] if damaged == "segment" else sidecar["pending"]
+        path = os.path.join(store_path, "blobs", name[:2], f"{name}.blob")
+        with open(path, "r+b") as fh:
+            byte = fh.read(1)
+            fh.seek(0)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(BlobIntegrityError):
+            Experiment.resume("corrupt", store_path)
+
+    def test_resume_without_a_sidecar_is_state_only(self, store_path):
+        outcome = Experiment([kv_scenario("no-sidecar", store_path, until=4.0)]).run()[0]
+        os.unlink(os.path.join(store_path, "runs", outcome.run_id, "scroll.json"))
+        resumed = Experiment.resume("no-sidecar", store_path)
+        assert resumed.scroll is None and resumed.sidecar is None
+        assert sorted(resumed.states()) == sorted(resumed.checkpoints)
+
+    def test_resumed_run_keeps_its_hot_window(self, tmp_path, flush_mode):
+        """Regression: the rebuilt Scroll had no tier, so a continuation
+        of a ``hot_window`` run held its whole window in memory."""
+        full = Experiment(
+            [kv_scenario("tier", str(tmp_path / "full"), 8.0, flush_mode, hot_window=16)]
+        ).run()[0]
+        crashed_store = str(tmp_path / "crashed")
+        Experiment([kv_scenario("tier", crashed_store, 4.0, flush_mode, hot_window=16)]).run()
+        resumed = Experiment.resume("tier", crashed_store)
+        assert resumed.scroll.is_tiered
+        assert resumed.scroll.hot_entries <= 16
+        assert all(replay.ok for replay in resumed.replays.values())
+        continued = resumed.continue_run(until=8.0)
+        assert resumed.scroll.is_tiered
+        assert resumed.scroll.hot_entries <= 16
+        assert continued.state_projection() == full.state_projection()
+
+
+def _entries(count: int, first: int = 0):
+    from repro.scroll.entry import ActionKind, ScrollEntry
+
+    return [
+        ScrollEntry(
+            pid=f"p{index % 3}",
+            kind=ActionKind.RANDOM,
+            time=index * 0.5,
+            detail={"method": "random", "value": index},
+            seq=index + 1,
+        )
+        for index in range(first, first + count)
+    ]
+
+
+class TestSegmentsSurviveGc:
+    """A ``gc()`` from another run on the same root never takes a blob the
+    live Scroll or its sidecar still needs."""
+
+    def _sweep(self, root) -> int:
+        return DurableCheckpointStore(root, run_id="sweeper").gc()
+
+    def test_gc_between_a_spill_and_the_next_flush(self, tmp_path, flush_mode):
+        from repro.scroll.scroll import Scroll
+
+        root = str(tmp_path / "store")
+        store = DurableCheckpointStore(root, run_id="live", flush_mode=flush_mode)
+        scroll = Scroll(hot_window=16)
+        entries = _entries(120)
+        for entry in entries[:40]:
+            scroll.append(entry)
+        store.flush_scroll(scroll)
+        store.drain()
+        for entry in entries[40:100]:
+            scroll.append(entry)  # spills seal segments no sidecar names yet
+        self._sweep(root)
+        scroll._raws.clear()
+        assert list(scroll) == entries[:100]
+        store.flush_scroll(scroll)
+        for entry in entries[100:]:
+            scroll.append(entry)
+        store.drain()
+        self._sweep(root)
+        scroll._raws.clear()
+        assert list(scroll) == entries
+        rebuilt, _, _ = DurableCheckpointStore.rebuild_scroll(root, "live", 16)
+        assert list(rebuilt) == entries[:100]
+        store.close()
+
+    def test_gc_after_a_commit_keeps_segments_the_scroll_will_evict(self, tmp_path, flush_mode):
+        from repro.scroll.scroll import Scroll
+
+        root = str(tmp_path / "store")
+        store = DurableCheckpointStore(root, run_id="live", flush_mode=flush_mode)
+        scroll = Scroll(hot_window=16)
+        entries = _entries(60)
+        for entry in entries[:10]:
+            scroll.append(entry)
+        store.flush_scroll(scroll)  # one persisted segment, still hot
+        for entry in entries[10:14]:
+            scroll.append(entry)
+        # a commit at 14: the first segment ends below the line but is not evicted
+        assert scroll.collect(14) == 0
+        store.flush_scroll(scroll, committed_position=14)
+        store.drain()
+        self._sweep(root)
+        for entry in entries[14:]:
+            scroll.append(entry)  # evicts the committed-over segment
+        assert scroll.spill_watermark > 10
+        scroll._raws.clear()
+        assert list(scroll) == entries
+        store.close()

@@ -273,7 +273,7 @@ def test_crash_mid_scroll_flush_never_leaves_torn_suffix(
         )
         assert len(rebuilt) == flushed_position
         assert int(sidecar["position"]) == flushed_position
-        assert [entry.seq for entry in rebuilt.entries_between(0, len(rebuilt))] == list(
+        assert [entry.seq for entry in rebuilt[0:len(rebuilt)]] == list(
             range(1, flushed_position + 1)
         )
         assert pending is not None and pending["timers"][0][2] == "tick"

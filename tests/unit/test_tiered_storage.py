@@ -11,7 +11,9 @@ from repro.scroll.entry import ActionKind, ScrollEntry
 from repro.scroll.interceptor import InterceptionMode, RecordingPolicy
 from repro.scroll.recorder import ScrollRecorder
 from repro.scroll.scroll import Scroll
-from repro.scroll.storage import SegmentStore
+from repro.scroll.scroll import RAW_CACHE_SEGMENTS
+from repro.blobs import BlobStore
+from repro.errors import BlobIntegrityError
 from repro.timemachine.time_machine import TimeMachine
 
 from tests.conftest import BoundedCounterBuggy, PingPong, RandomWorker, make_cluster
@@ -39,63 +41,113 @@ def make_entries(n: int, pids: int = 3):
 
 
 # ----------------------------------------------------------------------
-# SegmentStore
+# the cold tier: sealed segment blobs owned by the Scroll
 # ----------------------------------------------------------------------
-class TestSegmentStore:
+def blob_files(scroll):
+    return sorted(path.stem for path in scroll._private.blob_root.glob("*/*.blob"))
+
+
+class TestColdTier:
     def test_round_trip_point_and_range_reads(self, tmp_path):
         entries = make_entries(40)
-        store = SegmentStore(tmp_path / "segs")
-        store.append_segment(entries[:25])
-        store.append_segment(entries[25:])
-        assert len(store) == 40
-        assert store.get(0) == entries[0]
-        assert store.get(39) == entries[39]
-        assert store.get_many(range(10, 30)) == entries[10:30]
-        assert list(store.iter_range(0, 40)) == entries
-        assert list(store.iter_range(20, 28)) == entries[20:28]
-        assert store.segment_count() == 2
-        assert store.disk_bytes() > 0
+        scroll = Scroll(entries, hot_window=10, storage_dir=tmp_path / "segs")
+        assert scroll.spill_watermark >= 30
+        assert scroll[0] == entries[0]
+        assert scroll[29] == entries[29]
+        assert scroll[10:30] == entries[10:30]
+        assert list(scroll) == entries
+        assert scroll.entries_for("p1") == [e for e in entries if e.pid == "p1"]
+        # one blob per segment, each holding exactly its segment's frames
+        segments = scroll.segments
+        assert [s.first for s in segments] == [sum(t.count for t in segments[:i]) for i in range(len(segments))]
+        assert blob_files(scroll) == sorted(s.blob for s in segments)
+        assert all(len(s.offsets) == s.count + 1 for s in segments)
+        assert scroll.storage_stats()["disk_bytes"] == sum(s.offsets[-1] for s in segments)
 
-    def test_empty_segment_rejected(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        with pytest.raises(ValueError):
-            store.append_segment([])
+    def test_seal_of_nothing_is_none(self):
+        scroll = Scroll(make_entries(5))
+        assert scroll.seal() is not None
+        assert scroll.seal() is None
+        assert scroll.segments[-1].end == 5 and scroll.hot_entries == 5  # sealing never evicts
 
-    def test_lru_cache_bounds_and_hits(self, tmp_path):
-        entries = make_entries(20)
-        store = SegmentStore(tmp_path, cache_size=4)
-        store.append_segment(entries)
-        for position in range(8):
-            store.get(position)
-        assert store.stats()["cache_entries"] == 4
-        before = store.cache_hits
-        store.get(7)  # most recent — must be a hit
-        assert store.cache_hits == before + 1
+    def test_untiered_scroll_never_seals(self):
+        scroll = Scroll(make_entries(500))
+        assert scroll.segments == () and scroll._private is None
 
-    def test_truncate_drops_segments_and_index(self, tmp_path):
+    def test_raw_cache_is_bounded(self):
+        entries = make_entries(200)
+        scroll = Scroll(entries, hot_window=8)
+        assert len(scroll.segments) > RAW_CACHE_SEGMENTS
+        assert [scroll[position] for position in range(200)] == entries
+        assert scroll.storage_stats()["store"]["cached_segments"] == RAW_CACHE_SEGMENTS
+
+    def test_truncate_reseals_the_boundary_prefix(self, tmp_path):
         entries = make_entries(30)
-        store = SegmentStore(tmp_path / "t")
-        first = store.append_segment(entries[:10])
-        second = store.append_segment(entries[10:20])
-        third = store.append_segment(entries[20:])
-        assert store.truncate(15) == 15
-        assert len(store) == 15
-        # whole segment past the cut is unlinked; boundary file remains
-        assert not third.path.exists()
-        assert second.path.exists() and first.path.exists()
-        assert list(store.iter_range(0, 15)) == entries[:15]
+        scroll = Scroll(entries, hot_window=10, storage_dir=tmp_path / "t")
+        before = scroll.segments
+        assert [s.first for s in before] == [0, 5, 10, 15]
+        assert scroll.truncate(12) == 18
+        assert len(scroll) == 12
+        first, second, boundary = scroll.segments
+        assert (first, second) == before[:2]
+        assert (boundary.first, boundary.count) == (10, 2)
+        # the kept prefix is its own blob; the cut and dropped blobs are gone
+        assert blob_files(scroll) == sorted(s.blob for s in scroll.segments)
+        assert list(scroll) == entries[:12]
         with pytest.raises(IndexError):
-            store.get(15)
+            scroll[12]
         # appending after a truncate keeps positions contiguous
-        store.append_segment(entries[15:18])
-        assert store.get_many([14, 15, 16, 17]) == entries[14:18]
+        for entry in entries[12:30]:
+            scroll.append(entry)
+        assert list(scroll) == entries
+        assert scroll._at([11, 12, 13, 14]) == entries[11:15]
+
+    def test_cold_read_verifies_each_blob_once(self):
+        entries = make_entries(40)
+        scroll = Scroll(entries, hot_window=10)
+        segment = scroll.segments[0]
+        path = scroll._private._path(segment.blob)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(BlobIntegrityError):
+            scroll[0]
+        assert scroll[20] == entries[20]  # an intact segment reads fine
+
+    def test_persist_merges_private_segments_into_one_durable_segment(self, tmp_path):
+        entries = make_entries(40)
+        scroll = Scroll(entries, hot_window=10)
+        durable = BlobStore(tmp_path / "durable")
+        segment, raw = scroll.persist(durable)
+        # the spilled segments and the hot tail are one segment now
+        assert scroll.segments == (segment,)
+        assert (segment.first, segment.count) == (0, 40) and len(segment.offsets) == 41
+        assert blob_files(scroll) == [] and not durable.exists(segment.blob)
+        assert list(scroll) == entries  # served from the pinned bytes until the put lands
+        durable.put(raw)
+        scroll.landed(segment.blob)
+        scroll._raws.clear()
+        assert list(scroll) == entries
+        assert scroll.persist(durable) == (None, b"")
+        # later spills seal privately again, beside the persisted segment
+        for entry in make_entries(60)[40:]:
+            scroll.append(entry)
+        assert scroll.hot_entries <= 10
+        assert scroll.segments[0] == segment
+        assert blob_files(scroll) == sorted(s.blob for s in scroll.segments[1:])
+        assert list(scroll) == make_entries(60)
+        # a durable store keeps dropped blobs for its own gc()
+        scroll.truncate(30)
+        assert durable.exists(segment.blob)
+        assert [s.count for s in scroll.segments] == [30]
+        assert blob_files(scroll) == [scroll.segments[0].blob]  # the re-sealed prefix is private
+        assert list(scroll) == entries[:30]
 
     def test_owned_tempdir_is_cleaned_on_close(self):
-        store = SegmentStore()
-        directory = store.directory
-        store.append_segment(make_entries(5))
+        scroll = Scroll(make_entries(20), hot_window=4)
+        directory = scroll._private.root
         assert directory.exists()
-        store.close()
+        scroll.close()
         assert not directory.exists()
 
 
@@ -153,16 +205,16 @@ class TestTieredScroll:
         assert tiered.entries_for("p2") == oracle.entries_for("p2")
         assert tiered.pids() == oracle.pids()
 
-    def test_interleaved_iterators_share_segment_handles_safely(self):
+    def test_interleaved_iterators_share_segment_reads_safely(self):
         """Two live iterators over the same spilled segments must not corrupt
-        each other's stream (the per-segment file handle is shared)."""
+        each other's stream (the raw segment cache is shared)."""
         entries = make_entries(50)
         tiered = Scroll(entries, hot_window=4)
         assert tiered.entries == tiered.entries  # two interleaved iterations
         paired = list(zip(iter(tiered), iter(tiered)))
         assert paired == [(entry, entry) for entry in entries]
         # a cache-missing point read in the middle of an iteration
-        tiered._store.clear_cache()
+        tiered._raws.clear()
         seen = []
         for index, entry in enumerate(tiered):
             if index % 7 == 0:
@@ -328,63 +380,62 @@ class TestRollbackTruncation:
 # Segment garbage collection (committed recovery lines)
 # ----------------------------------------------------------------------
 class TestSegmentCollection:
-    def _spilled_store(self, tmp_path, segments=4, per_segment=10):
-        entries = make_entries(segments * per_segment)
-        store = SegmentStore(tmp_path / "segs")
-        for index in range(segments):
-            store.append_segment(entries[index * per_segment:(index + 1) * per_segment])
-        return store, entries
+    def _spilled_scroll(self, tmp_path, segments=4, per_segment=10):
+        # one more segment's worth stays hot
+        entries = make_entries((segments + 1) * per_segment + 1)
+        scroll = Scroll(entries, hot_window=2 * per_segment, storage_dir=tmp_path / "segs")
+        assert [s.count for s in scroll.segments] == [per_segment] * segments
+        return scroll, entries
 
-    def test_collect_unlinks_whole_prefix_segments(self, tmp_path):
-        store, entries = self._spilled_store(tmp_path)
-        files_before = sorted(store.directory.glob("*.seg"))
-        assert len(files_before) == 4
+    def test_collect_deletes_whole_prefix_segments(self, tmp_path):
+        scroll, entries = self._spilled_scroll(tmp_path)
+        assert len(blob_files(scroll)) == 4
         # position 25 sits inside segment 2: only segments 0 and 1 qualify
-        removed = store.collect(25)
-        assert removed == 20
-        assert store.base == 20
-        assert store.segment_count() == 2
-        assert len(sorted(store.directory.glob("*.seg"))) == 2
+        assert scroll.collect(25) == 20
+        assert scroll.collected_base == 20
+        assert len(scroll.segments) == 2
+        assert blob_files(scroll) == sorted(s.blob for s in scroll.segments)
         # reachable reads are untouched, collected positions fail loudly
-        for position in range(20, 40):
-            assert store.get(position) == entries[position]
+        for position in range(20, 51):
+            assert scroll[position] == entries[position]
         with pytest.raises(IndexError):
-            store.get(19)
-        assert store.get_many(list(range(20, 40))) == entries[20:40]
-        assert list(store.iter_range(0, 40)) == entries[20:40]
+            scroll[19]
+        assert scroll._at(list(range(20, 51))) == entries[20:51]
+        assert list(scroll) == entries[20:]
 
-    def test_collect_rebases_the_offset_index(self, tmp_path):
-        store, _ = self._spilled_store(tmp_path)
-        index_before = store.index_bytes()
-        disk_before = store.disk_bytes()
-        store.collect(20)
-        assert store.index_bytes() < index_before
-        assert store.disk_bytes() < disk_before
-        assert store.stats()["collected_entries"] == 20
-        assert len(store) == 40  # positions stay global
+    def test_collect_shrinks_index_and_disk(self, tmp_path):
+        scroll, _ = self._spilled_scroll(tmp_path)
+        before = scroll.storage_stats()
+        scroll.collect(20)
+        after = scroll.storage_stats()
+        assert after["store"]["index_bytes"] < before["store"]["index_bytes"]
+        assert after["disk_bytes"] < before["disk_bytes"]
+        assert after["collected_entries"] == 20
+        assert len(scroll) == 51  # positions stay global
 
     def test_append_and_truncate_after_collect(self, tmp_path):
-        store, entries = self._spilled_store(tmp_path)
-        store.collect(20)
-        extra = make_entries(50)[40:]
-        store.append_segment(extra)
-        assert len(store) == 50
-        assert store.get(45) == extra[5]
-        # truncation above the base still works row-accurately
-        removed = store.truncate(42)
-        assert removed == 8
-        assert store.get(41) == extra[1]
+        scroll, entries = self._spilled_scroll(tmp_path)
+        scroll.collect(20)
+        extra = make_entries(70)[51:]
+        for entry in extra:
+            scroll.append(entry)
+        assert len(scroll) == 70
+        assert scroll[55] == extra[4]
+        # truncation inside a cold segment still works entry-accurately
+        assert scroll.spill_watermark > 42
+        assert scroll.truncate(42) == 28
+        assert scroll[41] == entries[41]
         with pytest.raises(IndexError):
-            store.get(42)
+            scroll[42]
         # truncation cannot descend below the collected base
-        assert store.truncate(5) == 42 - 20
-        assert len(store) == 20
+        assert scroll.truncate(5) == 42 - 20
+        assert len(scroll) == 20
 
     def test_collect_is_noop_below_segment_boundary(self, tmp_path):
-        store, _ = self._spilled_store(tmp_path)
-        assert store.collect(9) == 0  # inside the first segment
-        assert store.base == 0
-        assert store.segment_count() == 4
+        scroll, _ = self._spilled_scroll(tmp_path)
+        assert scroll.collect(9) == 0  # inside the first segment
+        assert scroll.collected_base == 0
+        assert len(scroll.segments) == 4
 
 
 class TestScrollCollection:
@@ -516,10 +567,13 @@ class TestCommittedLineEnforcement:
         result = manager.rollback(late_line)
         assert result.restored_pids
 
-    def test_storage_stats_agree_after_collect(self):
+    @pytest.mark.parametrize("below_watermark", [0, 12])
+    def test_storage_stats_agree_after_collect(self, below_watermark):
         scroll = Scroll(make_entries(60), hot_window=10)
-        scroll.collect(scroll.spill_watermark)
+        scroll.collect(scroll.spill_watermark - below_watermark)
         stats = scroll.storage_stats()
         assert stats["collected_entries"] == scroll.collected_base
         assert stats["spilled_entries"] == scroll.spill_watermark - scroll.collected_base
-        assert stats["spilled_entries"] == stats["store"]["spilled_entries"]
+        # spill-only: every sealed entry was evicted, none is hot
+        assert stats["store"]["sealed_entries"] == stats["spilled_entries"]
+        assert (stats["spilled_entries"] > 0) == (below_watermark > 0)
