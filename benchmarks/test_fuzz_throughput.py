@@ -11,7 +11,7 @@ capacity number, not a regression-gated hot path.
 from __future__ import annotations
 
 from repro.api import FaultSchedule, Scenario, run_scenario
-from repro.api.faults import Duplicate
+from repro.api import Duplicate
 from repro.fuzz import Budget, coverage_key, fuzz, generate_scenario, vocabulary_for
 
 GENERATE_BATCH = 100

@@ -76,6 +76,17 @@ if [[ -n "$layering" ]]; then
 fi
 echo "layering guard: src/repro/scroll does not import repro.timemachine"
 
+# dsim is the substrate everything else builds on (the fault specs live
+# there too): it may import itself and repro.errors, nothing else of repro
+substrate=$(grep -rnE "(from|import) +repro(\.|\b)" src/repro/dsim \
+    | grep -vE "(from|import) +repro\.(dsim|errors)\b" || true)
+if [[ -n "$substrate" ]]; then
+    echo "layering violation: src/repro/dsim imports a repro package other than repro.errors" >&2
+    echo "$substrate" >&2
+    exit 1
+fi
+echo "layering guard: src/repro/dsim imports only repro.dsim and repro.errors"
+
 if ! command -v make >/dev/null 2>&1; then
     echo "scripts/check.sh requires make; run the Makefile 'verify' steps manually:" >&2
     grep -A2 '^verify:' Makefile >&2

@@ -51,7 +51,7 @@ from repro.api.experiment import (
     resume_run,
     run_scenario,
 )
-from repro.api.faults import (
+from repro.dsim.failure import (
     Corrupt,
     Crash,
     Delay,

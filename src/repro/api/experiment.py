@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.api import apps as app_registry
-from repro.api.faults import FaultSchedule
+from repro.dsim.failure import FaultSchedule
 from repro.api.outcome import Outcome
 from repro.api.scenario import Scenario
 from repro.core.fixd import FixD, FixDConfig
@@ -97,9 +97,7 @@ def execute(scenario: Scenario, fixd_config: Optional[FixDConfig] = None) -> Sce
         # the scenario rides along in run.json so resume can rebuild the
         # same cluster without the process that wrote the store
         durable.set_run_metadata({"scenario": scenario.to_dict()})
-    plan = scenario.faults.to_plan()
-    if not plan.is_empty():
-        cluster.set_failure_plan(plan)
+    cluster.set_failure_plan(scenario.faults)
     if scenario.backend in ("mp", "net"):
         result = cluster.run(until=scenario.until)
     else:
@@ -275,10 +273,7 @@ class ResumedRun:
                     _, at, pid, name, payload = event
                     backend.inject_timer(pid, name, at, payload)
         remaining, recoveries = _remaining_faults(self.scenario.faults, flush_time)
-        plan = remaining.to_plan()
-        if not plan.is_empty():
-            cluster.set_failure_plan(plan)
-            backend._install_failure_plan()
+        cluster.set_failure_plan(remaining)
         for pid, recover_at in recoveries:
             backend.inject_recovery(pid, recover_at)
         if self.pending is not None:

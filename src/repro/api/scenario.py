@@ -2,7 +2,7 @@
 
 A scenario is *data*: which registered application to build (and with
 which parameters), which backend executes it, the seed and run limits,
-the composable :class:`~repro.api.faults.FaultSchedule` of injected
+the composable :class:`~repro.dsim.failure.FaultSchedule` of injected
 trouble, and what the run is expected to establish (which consistency
 check must hold, whether an invariant violation is provoked, which
 crashed processes must be back).  Because every field is a JSON-basic
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.api.faults import FaultSchedule
+from repro.dsim.failure import FaultSchedule
 from repro.dsim.backend import check_time_scale, check_transport
 from repro.errors import ScenarioError
 from repro.timemachine import check_flush_mode

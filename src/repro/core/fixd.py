@@ -235,7 +235,7 @@ class FixD:
                     self.time_machine, self.config.auto_commit_interval
                 )
                 cluster.add_hook(self.auto_committer)
-        self.detector.add_responder(self._respond_to_fault)
+        self.detector.add_responder(self._handle_fault)
         cluster.add_hook(self.detector)
         self._coordinator = FaultResponseCoordinator(
             self.time_machine,
@@ -272,7 +272,7 @@ class FixD:
     # ------------------------------------------------------------------
     # the pipeline
     # ------------------------------------------------------------------
-    def _respond_to_fault(self, fault: FaultEvent) -> bool:
+    def _handle_fault(self, fault: FaultEvent) -> bool:
         if self._cluster is None or self._coordinator is None:
             return False
         if len(self.reports) >= self.config.max_faults_handled:

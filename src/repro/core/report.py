@@ -102,22 +102,23 @@ class BugReport:
         return relevant[-limit:]
 
 
-def incident_report(plan, scroll: Scroll, result) -> str:
+def incident_report(faults, scroll: Scroll, result) -> str:
     """A run-level incident summary: injected faults versus observed effects.
 
     Bug reports require a detected invariant violation; many injected
     faults (a tolerated message drop, a crash that recovery absorbs) are
     handled without one.  The fault-scenario matrix still needs an
     artefact proving the run *noticed* the fault, so this report pairs
-    the :class:`~repro.dsim.failure.FailurePlan` with what the Scroll
-    recorded and how the run ended.
+    the run's :class:`~repro.dsim.failure.FaultSchedule` (counted per
+    category by :meth:`~repro.dsim.failure.FaultSchedule.summary`) with
+    what the Scroll recorded and how the run ended.
     """
     lines: List[str] = []
     lines.append("=" * 72)
     lines.append("FixD incident report")
     lines.append("=" * 72)
     lines.append("Injected faults:")
-    for category, count in sorted(plan.summary().items()):
+    for category, count in sorted(faults.summary().items()):
         lines.append(f"  {category}: {count}")
     lines.append("")
     lines.append("Observed on the Scroll:")

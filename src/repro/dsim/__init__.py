@@ -12,10 +12,11 @@ provides the equivalent substrate in pure Python:
 * :mod:`repro.dsim.channel` / :mod:`repro.dsim.network` — point-to-point
   channels with configurable delay, loss, duplication, reordering and
   partitions.
-* :mod:`repro.dsim.failure` — fault injection plans (crashes, channel
-  faults, state corruption).
+* :mod:`repro.dsim.failure` — the one fault vocabulary: JSON-round-tripping
+  specs (crashes, message faults, partitions, state corruption) composed
+  into a :class:`~repro.dsim.failure.FaultSchedule` every backend runs.
 * :mod:`repro.dsim.cluster` — the frontend: process registration, hooks,
-  failure plans and the violation policy over a pluggable backend.
+  the fault schedule and the violation policy over a pluggable backend.
 * :mod:`repro.dsim.backend` — the :class:`~repro.dsim.backend.Backend`
   protocol with three substrates: the deterministic simulator
   (:class:`~repro.dsim.backend.SimBackend`, the default), real OS
@@ -39,7 +40,7 @@ from repro.dsim.backend import Backend, MPBackend, MPBackendOptions, SimBackend
 from repro.dsim.net_backend import NetBackend, NetBackendOptions
 from repro.dsim.clock import LamportClock, VectorClock, happens_before
 from repro.dsim.cluster import Cluster, ClusterConfig, RunResult
-from repro.dsim.failure import CrashFault, FailurePlan, MessageFault, PartitionFault, StateCorruptionFault
+from repro.dsim.failure import Corrupt, Crash, Delay, Drop, Duplicate, FaultSchedule, Partition
 from repro.dsim.message import Message
 from repro.dsim.network import Network, NetworkConfig
 from repro.dsim.process import Process, ProcessContext, handler
@@ -58,11 +59,13 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "RunResult",
-    "CrashFault",
-    "FailurePlan",
-    "MessageFault",
-    "PartitionFault",
-    "StateCorruptionFault",
+    "Corrupt",
+    "Crash",
+    "Delay",
+    "Drop",
+    "Duplicate",
+    "FaultSchedule",
+    "Partition",
     "Message",
     "Network",
     "NetworkConfig",

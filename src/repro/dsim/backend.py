@@ -29,10 +29,10 @@ Both real-process backends are one :class:`~repro.dsim.router.Router`
 holds the pipe/shm links, ``net_backend`` the shard-socket links.  On
 every link, batches preserve per-sender FIFO order and every message
 carries its sender's vector timestamp, so recording hooks observe the
-same causal surface as on the simulator.  Fault plans map directly:
-crashes/recoveries become control messages, message faults and
-partitions are applied by the router, state corruptions fire inside
-the worker.
+same causal surface as on the simulator.  The fault schedule's specs
+run as they are: crashes/recoveries become control messages, message
+faults and partitions are applied by the router, and a corruption's
+``(op, path, value)`` ops ship to its worker and are applied there.
 
 Capability flags tell the FixD layers what a backend can do, so e.g.
 checkpoint/rollback machinery attaches only where it is meaningful.
@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsim import shm_ring
 from repro.dsim.channel import DeliveryOutcome
-from repro.dsim.failure import MessageFaultEngine, StateCorruptionFault
+from repro.dsim.failure import Corrupt, MessageFaultEngine, apply_corruption_ops
 from repro.dsim.message import Message
 from repro.dsim.network import Network
 from repro.dsim.process import ProcessContext
@@ -169,8 +169,12 @@ class Backend:
 
     # -- execution ---------------------------------------------------------
     def start(self) -> None:
-        """Prepare the run (bind contexts, install the fault plan, ``on_start``)."""
+        """Prepare the run (bind contexts, install the fault schedule, ``on_start``)."""
         raise NotImplementedError
+
+    def install_faults(self) -> None:
+        """Arm the cluster's fault schedule on a started run (a continuation)."""
+        raise SimulationError(f"the {self.name} backend arms its faults only when its run starts")
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None):
         """Execute until quiescence or a limit; returns a ``RunResult``."""
@@ -328,17 +332,19 @@ class SimBackend(Backend):
         """
         return self._scheduler.schedule_at(at, EventKind.RECOVER, pid, None)
 
-    # -- fault plan materialisation ----------------------------------------
-    def _install_failure_plan(self) -> None:
-        plan = self.cluster.failure_plan
-        self._fault_engine = MessageFaultEngine(plan.message_faults)
-        for crash in plan.crashes:
+    # -- fault schedule materialisation ------------------------------------
+    def install_faults(self) -> None:
+        """Schedule the cluster's faults: crashes with their recoveries,
+        then partitions, then corruptions; message rules in schedule order."""
+        faults = self.cluster.failure_plan
+        self._fault_engine = MessageFaultEngine(faults.message_specs())
+        for crash in faults.of_kind("crash"):
             self._scheduler.schedule_at(crash.at, EventKind.CRASH, crash.pid, crash)
             if crash.recover_at is not None:
                 self._scheduler.schedule_at(crash.recover_at, EventKind.RECOVER, crash.pid, crash)
-        for partition in plan.partitions:
-            self.network.add_partition(partition.to_partition())
-        for corruption in plan.corruptions:
+        for partition in faults.of_kind("partition"):
+            self.network.add_partition(partition)
+        for corruption in faults.of_kind("corruption"):
             self._scheduler.schedule_at(corruption.at, EventKind.CORRUPT, corruption.pid, corruption)
 
     # -- run loop ----------------------------------------------------------
@@ -347,7 +353,7 @@ class SimBackend(Backend):
         if cluster._started:
             return
         cluster._started = True
-        self._install_failure_plan()
+        self.install_faults()
         processes = cluster.processes()
         for pid in sorted(processes):
             processes[pid].bind(self.make_context(pid))
@@ -475,11 +481,11 @@ class SimBackend(Backend):
 
     def _execute_corruption(self, event: Event) -> None:
         cluster = self.cluster
-        fault: StateCorruptionFault = event.payload
+        fault: Corrupt = event.payload
         process = cluster.process(event.target)
         if process.crashed:
             return
-        fault.mutator(process.state)
+        apply_corruption_ops(process.state, fault.ops)
         cluster.hooks.on_corruption(
             event.target, fault.description, self._scheduler.now, process.vector_timestamp
         )

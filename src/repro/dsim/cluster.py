@@ -4,7 +4,7 @@
 runtime use to execute a distributed computation.  Since the Backend
 refactor it is a thin *frontend*: it owns what is substrate-independent —
 the process table, the hook chain through which the Scroll, the Time
-Machine and the fault detector observe the run, the failure plan, the
+Machine and the fault detector observe the run, the fault schedule, the
 violation policy and the run trace — and delegates execution to a
 :class:`~repro.dsim.backend.Backend`:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.dsim.failure import FailurePlan
+from repro.dsim.failure import FaultSchedule
 from repro.dsim.hooks import HookChain, RuntimeHook
 from repro.dsim.message import IdCounter
 from repro.dsim.network import NetworkConfig
@@ -133,7 +133,7 @@ class Cluster:
         self.hooks = HookChain()
         self._processes: Dict[str, Process] = {}
         self._factories: Dict[str, ProcessFactory] = {}
-        self._failure_plan = FailurePlan()
+        self._failure_plan = FaultSchedule()
         self._violations: List[ViolationRecord] = []
         self._trace: List[TraceRecord] = []
         self._halted = False
@@ -186,13 +186,19 @@ class Cluster:
         self.hooks.add(hook)
         hook.attach(self)
 
-    def set_failure_plan(self, plan: FailurePlan) -> None:
-        """Install the fault-injection plan for this run (every backend)."""
-        self._failure_plan = plan
+    def set_failure_plan(self, faults: FaultSchedule) -> None:
+        """Install the fault schedule for this run (every backend).
+
+        The backend arms it when the run starts; a started cluster (a
+        resumed run's continuation) arms it at once.
+        """
+        self._failure_plan = faults
+        if self._started:
+            self.backend.install_faults()
 
     @property
-    def failure_plan(self) -> FailurePlan:
-        """The fault-injection plan installed for this run."""
+    def failure_plan(self) -> FaultSchedule:
+        """The fault schedule installed for this run."""
         return self._failure_plan
 
     def factory_for(self, pid: str) -> Optional[ProcessFactory]:
@@ -351,7 +357,7 @@ class Cluster:
     # run control
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind contexts, install the fault plan and run every ``on_start``."""
+        """Bind contexts, install the fault schedule and run every ``on_start``."""
         if self._started:
             return
         if not self._processes:

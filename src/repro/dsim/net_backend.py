@@ -36,7 +36,7 @@ Topology::
   decoded on A's loop, routed by the coordinator, and encoded + written
   on B's loop.
 
-Because the router and the worker loop are shared, fault-plan mapping,
+Because the router and the worker loop are shared, fault-schedule mapping,
 probe-based quiescence, the flush-log protocol and the halt reasons
 (``worker-lost:<pid>``, ``worker-stalled:<pid>``, ``worker-error:<pid>``)
 are those of :class:`~repro.dsim.backend.MPBackend` by construction;

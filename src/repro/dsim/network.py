@@ -1,9 +1,10 @@
 """The simulated network: channels, partitions and global message routing.
 
 The network owns one :class:`~repro.dsim.channel.Channel` per ordered
-pair of processes (created lazily), applies partitions, and keeps the
-global registry of every message that has entered the system.  The FixD
-runtime observes the network through the hook interface so the Scroll can
+pair of processes (created lazily), applies the fault schedule's
+:class:`~repro.dsim.failure.Partition` specs as they are (there is no
+network-side partition type), and keeps the global registry of every
+message that has entered the system.  The FixD runtime observes the network through the hook interface so the Scroll can
 log sends, deliveries, drops and duplications without the network knowing
 anything about logging.
 """
@@ -11,9 +12,10 @@ anything about logging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dsim.channel import Channel, ChannelConfig, DeliveryOutcome
+from repro.dsim.failure import Partition
 from repro.dsim.message import Message
 from repro.dsim.rng import DeterministicRNG, derive_seed
 from repro.errors import UnknownProcessError
@@ -30,46 +32,6 @@ class NetworkConfig:
 
     default_channel: ChannelConfig = field(default_factory=ChannelConfig)
     channel_overrides: Dict[Tuple[str, str], ChannelConfig] = field(default_factory=dict)
-
-
-class Partition:
-    """A network partition: a set of groups that cannot talk across groups.
-
-    A partition is active during a half-open time window
-    ``[start, end)``.  Processes not named in any group form an implicit
-    extra group, so a two-group partition ``[{a}, {b}]`` in a three
-    process system isolates ``a`` and ``b`` from each other but both may
-    still reach ``c`` only if ``c`` is listed with them; unlisted
-    processes can reach everyone (they are assumed to be on the healthy
-    side of every cut).
-    """
-
-    def __init__(self, groups: Iterable[Iterable[str]], start: float, end: float) -> None:
-        self.groups: List[Set[str]] = [set(group) for group in groups]
-        if start >= end:
-            raise ValueError("partition start time must precede its end time")
-        self.start = float(start)
-        self.end = float(end)
-
-    def active_at(self, time: float) -> bool:
-        return self.start <= time < self.end
-
-    def separates(self, src: str, dst: str) -> bool:
-        """True when ``src`` and ``dst`` are in different named groups."""
-        src_group = self._group_of(src)
-        dst_group = self._group_of(dst)
-        if src_group is None or dst_group is None:
-            return False
-        return src_group != dst_group
-
-    def _group_of(self, pid: str) -> Optional[int]:
-        for index, group in enumerate(self.groups):
-            if pid in group:
-                return index
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Partition(groups={self.groups}, [{self.start}, {self.end}))"
 
 
 class Network:

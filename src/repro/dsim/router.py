@@ -4,9 +4,9 @@ Every real-process substrate (``MPBackend`` on pipes or shared-memory
 rings, ``NetBackend`` on sharded sockets) is the same machine: workers
 run :func:`worker_loop` and ship *flush logs*; a parent-side
 :class:`Router` replays those logs through the cluster's hook chain,
-applies the fault plan (crash/recover control, drop / delay / duplicate
-/ partition decisions), batches deliveries per destination, detects
-quiescence with a probe protocol and assembles the ``RunResult``.
+applies the fault schedule (crash/recover control, drop / delay /
+duplicate / partition decisions), batches deliveries per destination,
+detects quiescence with a probe protocol and assembles the ``RunResult``.
 
 What differs between substrates is only how items travel, and that is
 hidden behind a per-run **link set** with five operations::
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
-import pickle
 import sys
 import time as wall_time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.dsim.failure import MessageFaultEngine, StateCorruptionFault
+from repro.dsim.failure import Corrupt, MessageFaultEngine, apply_corruption_ops
 from repro.dsim.message import IdCounter, Message
 from repro.dsim.process import ProcessContext
 from repro.dsim.rng import DeterministicRNG, derive_seed
@@ -78,8 +77,8 @@ class RouterOptions:
     ----------
     time_scale:
         Wall-clock seconds per simulated time unit.  Application timers
-        and fault-plan times are expressed in simulated units on every
-        backend; the workers convert them with this factor, so a plan
+        and fault-schedule times are expressed in simulated units on every
+        backend; the workers convert them with this factor, so a schedule
         written for the simulator injects at the equivalent wall moment.
     flush_watermark:
         A worker flushes its outgoing batch once it holds this many
@@ -145,7 +144,7 @@ def worker_loop(
     seed: int,
     check_invariants: bool,
     wall_limit: float,
-    corruptions: List[Tuple[float, bytes]],
+    corruptions: List[Corrupt],
     msg_id_base: int,
 ) -> None:
     """The body of one worker process, over any transport endpoint.
@@ -261,9 +260,7 @@ def worker_loop(
             )
             note_unit()
 
-    corruption_schedule = sorted(
-        (at * scale + 0.0, blob) for at, blob in corruptions
-    )
+    corruption_schedule = sorted(corruptions, key=lambda corruption: corruption.at)
     corruption_index = 0
 
     error = None
@@ -280,13 +277,12 @@ def worker_loop(
             # injected state corruptions due at this wall moment
             while (
                 corruption_index < len(corruption_schedule)
-                and corruption_schedule[corruption_index][0] <= now_w - start
+                and corruption_schedule[corruption_index].at * scale <= now_w - start
             ):
-                _, blob = corruption_schedule[corruption_index]
+                fault = corruption_schedule[corruption_index]
                 corruption_index += 1
                 if not crashed:
-                    fault: StateCorruptionFault = pickle.loads(blob)
-                    fault.mutator(process.state)
+                    apply_corruption_ops(process.state, fault.ops)
                     flush_log.append(
                         ("event", "corrupt", fault.description, sim_now(), process.vector_timestamp)
                     )
@@ -305,7 +301,7 @@ def worker_loop(
             if timers:
                 timeout = min(timeout, max(0.0, timers[0][0] - wall_time.monotonic()))
             if corruption_index < len(corruption_schedule):
-                due = corruption_schedule[corruption_index][0] - (wall_time.monotonic() - start)
+                due = corruption_schedule[corruption_index].at * scale - (wall_time.monotonic() - start)
                 timeout = min(timeout, max(0.0, due))
             if not endpoint.poll(timeout):
                 flush()  # idle: everything buffered goes out now
@@ -462,7 +458,7 @@ class Router:
 
     # -- setup -------------------------------------------------------------
     def _prepare(self, until) -> Dict[str, Tuple]:
-        """Validate the cluster and its fault plan; build the schedules.
+        """Validate the cluster and its fault schedule; build the schedules.
 
         Returns the link set's ``spawn`` map: pid → :func:`worker_loop`
         arguments after ``(endpoint, options)``.
@@ -483,45 +479,35 @@ class Router:
                 )
             factories[pid] = factory
 
-        plan = cluster.failure_plan
-        known_pids = set(pids)
-        for crash in plan.crashes:
-            if crash.pid not in known_pids:
-                raise UnknownProcessError(crash.pid)
-        for corruption in plan.corruptions:
-            if corruption.pid not in known_pids:
-                raise UnknownProcessError(corruption.pid)
-        self.fault_engine = MessageFaultEngine(plan.message_faults)
-        self.partitions = [p.to_partition() for p in plan.partitions]
+        faults = cluster.failure_plan
+        crashes = faults.of_kind("crash")
+        corruptions: Dict[str, List[Corrupt]] = {pid: [] for pid in pids}
+        for spec in crashes + faults.of_kind("corruption"):
+            if spec.pid not in corruptions:
+                raise UnknownProcessError(spec.pid)
+            if spec.kind == "corruption":
+                corruptions[spec.pid].append(spec)
+        self.fault_engine = MessageFaultEngine(faults.message_specs())
+        self.partitions = faults.of_kind("partition")
 
         sim_limit = min(until if until is not None else config.max_time, config.max_time)
         self.wall_limit = min(sim_limit * scale, MAX_WALL_SECONDS)
 
         order = 0
-        for crash in plan.crashes:
+        for crash in crashes:
             self.schedule.append((crash.at * scale, order, "crash", crash.pid))
             order += 1
             if crash.recover_at is not None:
                 self.schedule.append((crash.recover_at * scale, order, "recover", crash.pid))
                 order += 1
         self.schedule.sort()
-        corruptions: Dict[str, List[Tuple[float, bytes]]] = {}
-        for corruption in plan.corruptions:
-            try:
-                blob = pickle.dumps(corruption, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise SimulationError(
-                    f"{name} backend state-corruption faults must be picklable "
-                    f"(mutator for {corruption.pid!r} is not: {exc})"
-                ) from exc
-            corruptions.setdefault(corruption.pid, []).append((corruption.at, blob))
 
         self.pending_out = {pid: [] for pid in pids}
         self.live = set(pids)
         return {
             pid: (
                 pid, factories[pid], pids, config.seed, config.check_invariants,
-                self.wall_limit, corruptions.get(pid, []),
+                self.wall_limit, corruptions[pid],
                 # disjoint per-worker msg_id ranges; the cluster's own
                 # counter (range below 10^9, drawn for the router's injected
                 # duplicates) never collides

@@ -4,7 +4,7 @@ The generator never guesses blindly: it first runs one fault-free
 **probe** of the target application (a deterministic simulator run) and
 learns the *vocabulary* faults can be phrased in — which pids exist,
 which message kinds actually travel, how long a quiescent run lasts,
-and which state paths hold numeric values a :class:`~repro.api.faults.
+and which state paths hold numeric values a :class:`~repro.dsim.failure.
 Corrupt` could mutate.  Every sampled fault is therefore valid by
 construction (crashes name real pids, drops match real message kinds,
 corruptions address real state), which keeps the fuzzer's executions
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.api.faults import (
+from repro.dsim.failure import (
     Corrupt,
     Crash,
     Delay,

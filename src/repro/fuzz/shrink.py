@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.faults import FaultSchedule
+from repro.dsim.failure import FaultSchedule
 from repro.api.outcome import Outcome
 from repro.api.scenario import Scenario
 from repro.errors import ScenarioError

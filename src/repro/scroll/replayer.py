@@ -168,76 +168,22 @@ class Replayer:
     # single-process replay
     # ------------------------------------------------------------------
     def replay_process(self, pid: str) -> ProcessReplay:
-        """Replay one process against the Scroll and report the outcome."""
+        """Replay one process against the Scroll and report the outcome.
+
+        A fresh instance runs ``on_start`` and then the process's whole
+        recorded history: :meth:`replay_forward`'s loop from position 0.
+        """
         if pid not in self.factories:
             raise KeyError(f"no factory registered for process {pid!r}")
         process = self.factories[pid]()
-
-        # Index-backed per-process views: each is O(k) in the process's
-        # own entry count, independent of the global log size.  The
-        # history is streamed so spilled logs are not rematerialized.
-        history = self.scroll.iter_entries_for(pid)
-        recorded_sends = self.scroll.sent_messages(pid)
-        checker = _ReplaySendChecker(pid, recorded_sends, self.strict)
-        rng = ReplayRandomStream(pid, self.scroll.random_outcomes(pid))
-        clock = ReplayClock(pid, self.scroll.clock_reads(pid))
-        pending_timer_payloads: Dict[str, deque] = defaultdict(deque)
-
-        def send_fn(message: Message) -> None:
-            checker.observe(message)
-
-        def timer_fn(name: str, delay: float, payload: Any) -> None:
-            pending_timer_payloads[name].append(payload)
-
-        def cancel_timer_fn(name: str) -> None:
-            pending_timer_payloads[name].clear()
-
-        all_pids = tuple(self.scroll.pids()) or (pid,)
-        ctx = ProcessContext(
-            pid=pid,
-            peers=all_pids,
-            send_fn=send_fn,
-            timer_fn=timer_fn,
-            cancel_timer_fn=cancel_timer_fn,
-            # the ambient clock timestamps runtime artefacts; only
-            # Process.now() consumes the recorded reads (read_clock_fn)
-            now_fn=clock.ambient,
-            rng=rng,  # type: ignore[arg-type] — same draw interface as DeterministicRNG
-            read_clock_fn=clock.read,
-            take_msg_id=IdCounter().take,  # sends are checked, never delivered
-        )
-        process.bind(ctx)
-
-        divergence: Optional[str] = None
-        events_replayed = 0
-        try:
-            process.on_start()
-            for entry in history:
-                clock.advance_fallback(entry.time)
-                if entry.kind is ActionKind.RECEIVE and "message" in entry.detail:
-                    message = Message.from_record(entry.detail["message"])
-                    process.deliver(message)
-                    events_replayed += 1
-                elif entry.kind is ActionKind.TIMER:
-                    name = entry.detail.get("name")
-                    queue = pending_timer_payloads.get(name)
-                    payload = queue.popleft() if queue else None
-                    process.fire_timer(name, payload)
-                    events_replayed += 1
-            checker.finish()
-        except ReplayDivergenceError as error:
-            if self.strict:
-                raise
-            divergence = str(error)
-
-        divergence = divergence or checker.divergence
+        replay, checker = self._drive(pid, process, 0, 0.0, None, run_on_start=True)
         return ProcessReplay(
             pid=pid,
-            events_replayed=events_replayed,
-            sends_recorded=len(recorded_sends),
+            events_replayed=replay.events_replayed,
+            sends_recorded=len(checker.recorded),
             sends_replayed=len(checker.observed),
-            diverged=divergence is not None,
-            divergence_detail=divergence,
+            diverged=replay.diverged,
+            divergence_detail=replay.divergence_detail,
             final_state=dict(process.state),
             replayed_sends=list(checker.observed),
         )
@@ -282,6 +228,33 @@ class Replayer:
         and timer registrations — so the window can only replay cleanly
         if ``on_start`` runs again, consuming the recorded outcomes.
         """
+        replay, _checker = self._drive(
+            pid, process, from_position, start_time, rng_draws_base, run_on_start
+        )
+        return replay
+
+    def _drive(
+        self,
+        pid: str,
+        process: Process,
+        from_position: int,
+        start_time: float,
+        rng_draws_base: Optional[int],
+        run_on_start: bool,
+    ) -> Tuple[ForwardReplay, _ReplaySendChecker]:
+        """The one replay loop: feed ``pid``'s history from ``from_position``.
+
+        ``process`` runs under a replay context (recorded rng/clock,
+        checked sends) and gets its own context back afterwards, its RNG
+        fast-forwarded past the replayed draws when ``rng_draws_base`` is
+        given.  A fresh instance has no context yet, so it is bound and
+        its logical clocks start at zero; a live one keeps its restored
+        clocks.  Index-backed per-process views keep this O(k) in the
+        process's own entry count, and the history is streamed so
+        spilled logs are not rematerialized.
+
+        Returns the replay's outcome and its send checker.
+        """
         original_ctx = process.swap_context(None)
 
         recorded_sends = self.scroll.sent_messages(pid, start=from_position)
@@ -308,12 +281,17 @@ class Replayer:
             send_fn=send_fn,
             timer_fn=timer_fn,
             cancel_timer_fn=cancel_timer_fn,
+            # the ambient clock timestamps runtime artefacts; only
+            # Process.now() consumes the recorded reads (read_clock_fn)
             now_fn=clock.ambient,
             rng=rng,  # type: ignore[arg-type] — same draw interface as DeterministicRNG
             read_clock_fn=clock.read,
             take_msg_id=IdCounter().take,  # sends are checked, never delivered
         )
-        process.swap_context(ctx)
+        if original_ctx is None:
+            process.bind(ctx)
+        else:
+            process.swap_context(ctx)
 
         divergence: Optional[str] = None
         events_replayed = 0
@@ -355,7 +333,7 @@ class Replayer:
             original_ctx.rng.restore(rng_draws_base + rng.draws)
 
         divergence = divergence or checker.divergence
-        return ForwardReplay(
+        replay = ForwardReplay(
             pid=pid,
             from_position=from_position,
             events_replayed=events_replayed,
@@ -364,6 +342,7 @@ class Replayer:
             divergence_detail=divergence,
             last_time=last_time,
         )
+        return replay, checker
 
     # ------------------------------------------------------------------
     # whole-system replay

@@ -12,7 +12,7 @@ from repro.apps.wordcount import build_wordcount_cluster, expected_counts
 from repro.core.fixd import FixD, FixDConfig
 from repro.dsim.cluster import Cluster, ClusterConfig
 from repro.dsim.backend import MPBackend, MPBackendOptions
-from repro.dsim.failure import CrashFault, FailurePlan, MessageFault
+from repro.dsim.failure import Corrupt, Crash, Drop, FaultSchedule
 from repro.dsim.process import Process, handler
 from repro.healer.healer import Healer
 from repro.healer.patch import generate_patch
@@ -54,9 +54,7 @@ class TestCrashRecoveryWithCheckpoints:
         build_wordcount_cluster(cluster, workers=2, chunks=8)
         time_machine = TimeMachine()
         time_machine.attach(cluster)
-        cluster.set_failure_plan(
-            FailurePlan(crashes=[CrashFault("worker0", at=5.0, recover_at=9.0)])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Crash("worker0", at=5.0, recover_at=9.0)))
         result = cluster.run(max_events=4000)
         # Recovery lets the master finish aggregating every chunk it dispatched.
         master = cluster.process("master").state
@@ -117,11 +115,6 @@ class TestRepeatedFaultHandling:
         assert 1 <= len(fixd.reports) <= 3
 
 
-def _overcount(state):
-    """Module-level corruption mutator (must pickle across the pipe)."""
-    state["count"] = state.get("count", 0) + 100
-
-
 class _StopExploder(PingPong):
     """PingPong whose shutdown callback fails (worker error-path coverage)."""
 
@@ -167,15 +160,13 @@ class TestMultiprocessingBackend:
 
     def test_cooperative_crash(self):
         cluster = self._mp_cluster()
-        cluster.set_failure_plan(FailurePlan(crashes=[CrashFault("p1", at=1e-6)]))
+        cluster.set_failure_plan(FaultSchedule.of(Crash("p1", at=1e-6)))
         result = cluster.run(until=60)
         assert result.process_states["p1"]["count"] <= 1
 
     def test_message_fault_injection_on_real_processes(self):
         cluster = self._mp_cluster()
-        cluster.set_failure_plan(
-            FailurePlan(message_faults=[MessageFault("drop", match_kind="PING", count=1)])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Drop(match_kind="PING", count=1)))
         result = cluster.run(until=60)
         # the very first PING is dropped: the conversation never starts
         counts = sorted(state["count"] for state in result.process_states.values())
@@ -207,8 +198,6 @@ class TestMultiprocessingBackend:
         assert len(sent_ids) == len(set(sent_ids)), "msg_ids collide across workers"
 
     def test_state_corruption_fires_even_after_app_quiesces(self):
-        from repro.dsim.failure import StateCorruptionFault
-
         cluster = Cluster(
             ClusterConfig(seed=1, halt_on_violation=False),
             backend=MPBackend(MPBackendOptions(time_scale=0.01)),
@@ -218,12 +207,8 @@ class TestMultiprocessingBackend:
         # the ping-pong exchange is over almost immediately; the
         # corruption is scheduled long after — quiescence must wait
         cluster.set_failure_plan(
-            FailurePlan(
-                corruptions=[
-                    StateCorruptionFault(
-                        "p1", at=20.0, mutator=_overcount, description="count overflow"
-                    )
-                ]
+            FaultSchedule.of(
+                Corrupt("p1", at=20.0, ops=(("add", ("count",), 100),), description="count overflow")
             )
         )
         result = cluster.run(until=200)
@@ -255,9 +240,9 @@ class TestMultiprocessingBackend:
         from repro.errors import UnknownProcessError
 
         cluster = self._mp_cluster()
-        cluster.set_failure_plan(FailurePlan(crashes=[CrashFault("ghost", at=0.5)]))
+        cluster.set_failure_plan(FaultSchedule.of(Crash("ghost", at=0.5)))
         with pytest.raises(UnknownProcessError):
             cluster.run(until=1.0)
         # the failed validation must not poison the cluster
-        cluster.set_failure_plan(FailurePlan())
+        cluster.set_failure_plan(FaultSchedule())
         assert cluster.run(until=60).stopped_reason == "quiescent"

@@ -21,8 +21,9 @@ Beyond the single-fault matrix this file adds what the facade makes
 cheap: **multi-fault schedules** (crash during partition, corruption
 under a duplicate storm), a serialized **suite file** loaded with
 ``load_suite`` and asserted end to end, and an **mp-backend slice**
-(crash / drop / delay on real OS processes — marked ``slow`` so
-``-m matrix`` runs it but the default tier doesn't boot workers).
+(crash / drop / delay on real OS processes, plus the kvstore corruption
+cell on mp and net — marked ``slow`` so ``-m matrix`` runs it but the
+default tier doesn't boot workers).
 """
 
 from __future__ import annotations
@@ -395,6 +396,11 @@ MP_SCENARIOS = [
 ]
 
 
+#: The sim matrix's kvstore corruption cell, run on real processes too:
+#: its ``(op, path, value)`` ops ship to the worker as plain data.
+KVSTORE_CORRUPTION = next(s for s in SCENARIOS if s.name == "kvstore-state_corruption")
+
+
 def assert_promises(scenario: Scenario, outcome) -> None:
     """The three FixD promises, read off the structured outcome."""
     # detection + expectation evaluation (consistency, recovery, handling)
@@ -485,7 +491,7 @@ def test_net_fault_slice(scenario: Scenario):
     """The same crash/drop/delay slice on the socket substrate.
 
     The net backend reuses the mp worker protocol over sharded socket
-    routers; the fault-plan mapping (control frames, router-side
+    routers; the fault-schedule mapping (control frames, router-side
     drop/delay, dead letters) must be observationally identical.
     """
     scenario = replace(
@@ -499,6 +505,34 @@ def test_net_fault_slice(scenario: Scenario):
     # the socket substrate keeps the delivery hot path pickle-free
     assert outcome.transport["messages_pickled"] == 0
     assert outcome.transport["socket_writes"] > 0
+
+
+@pytest.mark.matrix
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["mp", "net"])
+def test_corruption_detected_and_reported_on_real_processes(backend: str):
+    """The sim cell's corruption fires inside the worker, is detected and reported.
+
+    Real-process substrates have no checkpoint/rollback, so FixD only
+    reports there: no report is handled or rolled back, and the rogue
+    key survives to fail the consistency check — the one promise left
+    unmet.
+    """
+    scenario = replace(
+        KVSTORE_CORRUPTION, name=f"kvstore-state_corruption-{backend}", backend=backend,
+        until=400.0, time_scale=0.01,
+    )
+    outcome = run_scenario(scenario)
+    assert outcome.detected, f"{scenario.name}: missing evidence {outcome.observed}"
+    assert outcome.observed == {"corruption": True, "violation": True}
+    assert outcome.faults_detected >= 1 and outcome.reports >= 1
+    for report in outcome.bug_reports:
+        assert not report["handled"] and not report["rolled_back"]
+        assert report["scroll_tail_entries"] > 0
+    assert "  corruption: 1\n" in outcome.incident
+    assert outcome.failures == [
+        f"consistency check {scenario.check!r} failed over the final states"
+    ]
 
 
 @pytest.mark.matrix

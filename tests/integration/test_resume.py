@@ -197,7 +197,7 @@ class TestResume:
         rebuilt engine re-armed an already-exhausted count-limited drop,
         so the continuation dropped one extra REPLICATE and its final
         state diverged from the uninterrupted twin's."""
-        from repro.api.faults import Drop, FaultSchedule
+        from repro.api import Drop, FaultSchedule
 
         schedule = FaultSchedule.of(Drop(match_kind="REPLICATE", count=1, after=0.5))
         full_store = str(tmp_path / "full")

@@ -12,8 +12,15 @@ committed line lets a tiered Scroll collect its evicted prefix, which is
 garbage collection by design, and a bug report's Scroll tail then stops
 at the commit frontier.
 
+``investigate`` decides whether a detected fault is also explored by
+the Investigator.  That must not change the run either, but it does
+change the report: an investigated bug report gains a trail.  Its arm
+therefore compares the JSONL alone.  One exploration can take seconds
+(up to the Investigator's 20,000-state budget), so the arm draws a
+fixed sample, and its explicit examples are runs known to report.
+
 The disk arms are marked ``durable`` (``make resume-smoke``); the
-in-memory arm runs in tier-1.
+in-memory arms run in tier-1.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.api import Scenario, execute
 from repro.fuzz import generate_scenario
@@ -62,6 +69,18 @@ def assert_neutral(tmp_path, app, seed, auto_commit=None, **arm) -> None:
 @given(app=st.sampled_from(APPS), seed=st.integers(0, 2**16))
 def test_hot_window_is_behaviour_neutral(tmp_path, app, seed):
     assert_neutral(tmp_path, app, seed, hot_window=16)
+
+
+@settings(max_examples=10, derandomize=True, **_SETTINGS)
+@given(app=st.sampled_from(APPS), seed=st.integers(0, 2**16))
+@example(app="bank", seed=3)  # each of these reports a fault
+@example(app="leader_election", seed=9)
+@example(app="kvstore", seed=2)
+def test_investigate_is_behaviour_neutral(tmp_path, app, seed):
+    scenario = generate_scenario(app, seed, max_events=1500)
+    default, _ = artefacts(scenario, tmp_path / "default.jsonl")
+    investigated = dataclasses.replace(scenario, investigate=True)
+    assert artefacts(investigated, tmp_path / "arm.jsonl")[0] == default
 
 
 @pytest.mark.durable

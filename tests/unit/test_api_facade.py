@@ -6,6 +6,7 @@ facade (idempotent-or-loud ``attach``, periodic recovery-line commit).
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.api import (
     run_scenario,
     save_suite,
 )
-from repro.api.faults import apply_corruption_ops, spec_from_dict, spec_to_dict
+from repro.dsim.failure import apply_corruption_ops, spec_from_dict, spec_to_dict
 from repro.dsim.backend import make_backend
 from repro.errors import AttachmentError, SimulationError
 from repro.scroll.interceptor import RecordingPolicy
@@ -112,12 +113,13 @@ class TestFaultSpecs:
         )
         assert state == {"a": 11, "nested": {"b": 9}, "log": [1, 2]}
 
-    def test_corrupt_compiles_to_state_corruption_fault(self):
+    def test_corrupt_is_plain_data_a_worker_can_apply(self):
         spec = Corrupt(pid="p0", at=1.0, ops=(("set", ("k",), 5),), description="boom")
-        fault = spec.to_fault()
+        shipped = pickle.loads(pickle.dumps(spec))
+        assert shipped == spec
         state = {"k": 0}
-        fault.mutator(state)
-        assert state["k"] == 5 and fault.pid == "p0"
+        apply_corruption_ops(state, shipped.ops)
+        assert state["k"] == 5 and shipped.pid == "p0"
 
     def test_spec_dict_round_trip(self):
         specs = [
@@ -151,21 +153,21 @@ class TestFaultSchedule:
         assert combined.label == "drop+delay"
         assert FaultSchedule().label == "fault-free"
 
-    def test_to_plan_categorizes(self):
+    def test_summary_categorizes(self):
         schedule = FaultSchedule.of(
             Crash(pid="p0", at=1.0),
             Drop(match_kind="A"),
             Partition(groups=(("a",), ("b",)), start=1.0, end=2.0),
             Corrupt(pid="p1", at=2.0, ops=(("set", ("k",), 1),)),
         )
-        plan = schedule.to_plan()
-        assert plan.summary() == {
+        assert schedule.summary() == {
             "crashes": 1,
             "message_faults": 1,
             "partitions": 1,
             "corruptions": 1,
         }
         assert schedule.message_specs() == [schedule.faults[1]]
+        assert schedule.of_kind("crash", "corruption") == [schedule.faults[0], schedule.faults[3]]
 
     def test_rejects_non_spec_entries(self):
         with pytest.raises(ScenarioError, match="fault specs"):

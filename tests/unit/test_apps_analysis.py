@@ -47,7 +47,7 @@ from repro.apps.wordcount import (
     generate_corpus,
 )
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import CrashFault, FailurePlan, MessageFault
+from repro.dsim.failure import Crash, Drop, FaultSchedule
 from repro.dsim.runtime import LatencyProbeHook, PeriodicActionHook, StatsHook, TraceHook
 from repro.scroll.recorder import ScrollRecorder
 
@@ -153,9 +153,7 @@ class TestTwoPhaseCommit:
         cluster = Cluster(ClusterConfig(seed=11, halt_on_violation=False))
         builder(cluster)
         # Drop the no-vote so the coordinator's timeout presumes yes.
-        cluster.set_failure_plan(
-            FailurePlan(message_faults=[MessageFault("drop", match_kind="VOTE_NO")])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Drop(match_kind="VOTE_NO", count=None)))
         result = cluster.run(max_events=500)
         assert not atomicity_invariant(result.process_states)
 
@@ -204,7 +202,7 @@ class TestLeaderElection:
         cluster = Cluster(ClusterConfig(seed=11, halt_on_violation=False))
         build_election_ring(cluster, nodes=4)
         # elector1 has a low id and is not on the winning path's critical round
-        cluster.set_failure_plan(FailurePlan(crashes=[CrashFault("elector1", at=30.0)]))
+        cluster.set_failure_plan(FaultSchedule.of(Crash("elector1", at=30.0)))
         result = cluster.run(max_events=2000)
         assert at_most_one_leader_invariant(result.process_states)
 
@@ -245,7 +243,7 @@ class TestWordCount:
     def test_crashed_worker_reduces_aggregated_chunks(self):
         cluster = Cluster(ClusterConfig(seed=11, halt_on_violation=False))
         build_wordcount_cluster(cluster, workers=2, chunks=10)
-        cluster.set_failure_plan(FailurePlan(crashes=[CrashFault("worker0", at=4.0)]))
+        cluster.set_failure_plan(FaultSchedule.of(Crash("worker0", at=4.0)))
         result = cluster.run(max_events=3000)
         assert cluster.process("master").state["aggregated"] < 10
 

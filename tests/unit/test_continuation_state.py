@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.dsim.channel import ChannelConfig
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import FailurePlan, MessageFault, MessageFaultEngine
+from repro.dsim.failure import Drop, FaultSchedule, MessageFaultEngine
 from repro.dsim.message import Message
 from repro.dsim.network import Network, NetworkConfig
 from repro.dsim.process import Process, handler
@@ -98,7 +98,7 @@ class TestChannelStateRoundtrip:
 
 
 def count_limited_engine() -> MessageFaultEngine:
-    return MessageFaultEngine([MessageFault("drop", match_kind="DATA", count=1)])
+    return MessageFaultEngine([Drop(match_kind="DATA", count=1)])
 
 
 class TestFaultHitRestore:
@@ -154,12 +154,9 @@ class TestCapturePendingCarriesContinuationState:
         )
         cluster.add_process("a", Chatter)
         cluster.add_process("b", Chatter)
-        plan = FailurePlan(
-            message_faults=[
-                MessageFault("drop", match_kind="DATA", count=1, after=2.0)
-            ]
+        cluster.set_failure_plan(
+            FaultSchedule.of(Drop(match_kind="DATA", count=1, after=2.0))
         )
-        cluster.set_failure_plan(plan)
         cluster.run(until=30.0)
 
         pending = capture_pending(cluster.backend)

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import (
-    CrashFault,
-    FailurePlan,
-    MessageFault,
-    PartitionFault,
-    StateCorruptionFault,
-)
+from repro.dsim.failure import Corrupt, Crash, Drop, FaultSchedule, Partition
 from repro.dsim.network import NetworkConfig
 from repro.dsim.channel import ChannelConfig
 from repro.dsim.process import Process, handler, invariant, timer_handler
@@ -251,24 +245,20 @@ class TestClusterRunLoop:
 class TestClusterFaultInjection:
     def test_crash_stops_a_process(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        cluster.set_failure_plan(FailurePlan(crashes=[CrashFault("p1", at=2.0)]))
+        cluster.set_failure_plan(FaultSchedule.of(Crash("p1", at=2.0)))
         result = cluster.run()
         assert result.process_states["p1"]["count"] < 5
 
     def test_crash_and_recover_emits_trace(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        cluster.set_failure_plan(
-            FailurePlan(crashes=[CrashFault("p1", at=2.0, recover_at=6.0)])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Crash("p1", at=2.0, recover_at=6.0)))
         cluster.run()
         actions = [record.action for record in cluster.trace if record.pid == "p1"]
         assert "crash" in actions and "recover" in actions
 
     def test_message_drop_fault(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        cluster.set_failure_plan(
-            FailurePlan(message_faults=[MessageFault("drop", match_kind="PING", count=1)])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Drop(match_kind="PING", count=1)))
         result = cluster.run()
         # The very first PING is dropped, so nobody ever counts anything.
         assert all(state["count"] == 0 for state in result.process_states.values())
@@ -276,19 +266,16 @@ class TestClusterFaultInjection:
     def test_partition_fault_blocks_traffic(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
         cluster.set_failure_plan(
-            FailurePlan(partitions=[PartitionFault([["p0"], ["p1"]], start=0.0, end=100.0)])
+            FaultSchedule.of(Partition([["p0"], ["p1"]], start=0.0, end=100.0))
         )
         result = cluster.run()
         assert all(state["count"] == 0 for state in result.process_states.values())
         assert result.network_stats["dropped"] >= 1
 
     def test_state_corruption_triggers_invariant(self):
-        def corrupt(state):
-            state["count"] = 999
-
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
         cluster.set_failure_plan(
-            FailurePlan(corruptions=[StateCorruptionFault("p1", at=3.0, mutator=corrupt)])
+            FaultSchedule.of(Corrupt("p1", at=3.0, ops=(("set", ("count",), 999),)))
         )
         result = cluster.run()
         assert any(v.invariant == "count-bounded" for v in result.violations)

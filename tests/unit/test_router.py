@@ -9,6 +9,7 @@ the same rules all three real links (pipe, shm, net) run under.
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections import deque
 
@@ -16,12 +17,13 @@ import pytest
 
 from repro.dsim.backend import MPBackendOptions
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import CrashFault, FailurePlan, MessageFault, PartitionFault
+from repro.dsim.failure import Corrupt, Crash, Delay, Drop, Duplicate, FaultSchedule, Partition
 from repro.dsim.hooks import RuntimeHook
 from repro.dsim.message import Message
 from repro.dsim.process import Process
 from repro.dsim.router import Router  # facade-ok: the router itself is under test
 from repro.dsim.wire import new_stats  # facade-ok: the link-set stats contract
+from repro.errors import UnknownProcessError
 
 SCALE = 0.001  # wall seconds per simulated unit: a 50-unit delay is 50 ms
 
@@ -251,10 +253,28 @@ def test_stale_probe_ack_is_ignored():
 
 
 # ----------------------------------------------------------------------
-# the fault plan, router side
+# the fault schedule, router side
 # ----------------------------------------------------------------------
+def test_corruptions_ship_to_their_worker_as_plain_specs():
+    corrupt = Corrupt("b", at=5.0, ops=(("add", ("received",), 100),), description="overcount")
+    router, _, _ = make(plan=FaultSchedule.of(corrupt))
+    spawn = router._prepare(until=10)
+    corruptions = {pid: args[6] for pid, args in spawn.items()}
+    assert corruptions == {"a": [], "b": [corrupt]}
+    assert pickle.loads(pickle.dumps(corruptions["b"])) == [corrupt]
+
+
+@pytest.mark.parametrize(
+    "spec", [Crash("ghost", at=1.0), Corrupt("ghost", at=1.0, ops=(("set", ("k",), 1),))]
+)
+def test_faults_on_unknown_pids_are_rejected(spec):
+    router, _, _ = make(plan=FaultSchedule.of(spec))
+    with pytest.raises(UnknownProcessError):
+        router._prepare(until=10)
+
+
 def test_crash_dead_letters_until_recover():
-    plan = FailurePlan(crashes=[CrashFault("b", at=20.0, recover_at=120.0)])
+    plan = FaultSchedule.of(Crash("b", at=20.0, recover_at=120.0))
     router, links, cluster = make(plan=plan)
     links.sends(0.000, "a", "b", "BEFORE")
     links.sends(0.060, "a", "b", "DURING")
@@ -270,7 +290,7 @@ def test_crash_dead_letters_until_recover():
 
 
 def test_delay_fault_releases_at_its_wall_deadline_and_blocks_quiescence():
-    plan = FailurePlan(message_faults=[MessageFault("delay", match_kind="SLOW", extra_delay=50.0)])
+    plan = FaultSchedule.of(Delay(match_kind="SLOW", extra_delay=50.0, count=None))
     router, links, _ = make(plan=plan)
     links.sends(0.0, "a", "b", "SLOW", sent_at=0.0)
     started = time.monotonic()
@@ -284,12 +304,10 @@ def test_delay_fault_releases_at_its_wall_deadline_and_blocks_quiescence():
 
 
 def test_drop_duplicate_and_partition_accounting():
-    plan = FailurePlan(
-        message_faults=[
-            MessageFault("drop", match_kind="LOSE"),
-            MessageFault("duplicate", match_kind="TWICE"),
-        ],
-        partitions=[PartitionFault([["a"], ["c"]], start=0.0, end=1_000_000.0)],
+    plan = FaultSchedule.of(
+        Drop(match_kind="LOSE", count=None),
+        Duplicate(match_kind="TWICE", count=None),
+        Partition([["a"], ["c"]], start=0.0, end=1_000_000.0),
     )
     hook = _Recorder()
     router, links, _ = make(pids=("a", "b", "c"), plan=plan, hook=hook)

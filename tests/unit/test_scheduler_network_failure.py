@@ -6,17 +6,20 @@ import pytest
 
 from repro.dsim.channel import ChannelConfig, DeliveryOutcome
 from repro.dsim.failure import (
-    CrashFault,
-    FailurePlan,
-    MessageFault,
+    Corrupt,
+    Crash,
+    Delay,
+    Drop,
+    Duplicate,
+    FaultSchedule,
     MessageFaultEngine,
-    PartitionFault,
-    StateCorruptionFault,
+    Partition,
+    spec_from_dict,
 )
 from repro.dsim.message import Message
-from repro.dsim.network import Network, NetworkConfig, Partition
+from repro.dsim.network import Network, NetworkConfig
 from repro.dsim.scheduler import EventKind, Scheduler
-from repro.errors import SimulationError, UnknownProcessError
+from repro.errors import ScenarioError, SimulationError, UnknownProcessError
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +217,14 @@ class TestNetwork:
         assert plans[0][0] is DeliveryOutcome.DROP
 
     def test_partition_requires_valid_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             Partition([["a"], ["b"]], start=5.0, end=5.0)
+
+    def test_partition_first_named_group_wins(self):
+        partition = Partition([["a", "b"], ["b", "c"]], start=0.0, end=1.0)
+        assert not partition.separates("a", "b")
+        assert partition.separates("b", "c")
+        assert not partition.separates("a", "z")
 
     def test_clear_partitions(self):
         network = self._network()
@@ -232,45 +241,48 @@ class TestNetwork:
 # ----------------------------------------------------------------------
 # Fault injection declarations
 # ----------------------------------------------------------------------
-class TestFailurePlan:
-    def test_add_routes_faults_to_the_right_bucket(self):
-        plan = FailurePlan()
-        plan.add(CrashFault("a", at=5.0))
-        plan.add(MessageFault("drop", match_kind="PING"))
-        plan.add(PartitionFault([["a"], ["b"]], 0.0, 1.0))
-        plan.add(StateCorruptionFault("a", 2.0, lambda state: None))
-        assert plan.summary() == {
+class TestFaultSchedule:
+    def test_schedule_sorts_faults_into_categories(self):
+        schedule = FaultSchedule.of(
+            Crash("a", at=5.0),
+            Drop(match_kind="PING"),
+            Partition([["a"], ["b"]], 0.0, 1.0),
+            Corrupt("a", 2.0, ops=(("set", ("k",), 1),)),
+        )
+        assert schedule.summary() == {
             "crashes": 1,
             "message_faults": 1,
             "partitions": 1,
             "corruptions": 1,
         }
-        assert not plan.is_empty()
+        assert not schedule.is_empty()
 
-    def test_add_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            FailurePlan().add(object())
+    def test_unknown_entry_rejected(self):
+        with pytest.raises(ScenarioError):
+            FaultSchedule.of(object())
 
     def test_crash_recovery_must_follow_crash(self):
-        with pytest.raises(ValueError):
-            CrashFault("a", at=5.0, recover_at=5.0)
+        with pytest.raises(ScenarioError):
+            Crash("a", at=5.0, recover_at=5.0)
 
     def test_message_fault_kind_validation(self):
-        with pytest.raises(ValueError):
-            MessageFault("explode")
-        with pytest.raises(ValueError):
-            MessageFault("delay", extra_delay=0.0)
+        with pytest.raises(ScenarioError):
+            spec_from_dict({"kind": "explode"})
+        with pytest.raises(ScenarioError):
+            Delay(extra_delay=0.0)
 
     def test_message_fault_matching(self):
-        fault = MessageFault("drop", match_kind="PING", match_src="a", after=5.0)
+        fault = Drop(match_kind="PING", match_src="a", match_dst="b", after=5.0)
         ping = Message(src="a", dst="b", kind="PING")
         pong = Message(src="a", dst="b", kind="PONG")
         assert fault.matches(ping, time=6.0)
         assert not fault.matches(ping, time=1.0)
         assert not fault.matches(pong, time=6.0)
+        assert not fault.matches(Message(src="c", dst="b", kind="PING"), time=6.0)
+        assert not fault.matches(Message(src="a", dst="c", kind="PING"), time=6.0)
 
     def test_fault_engine_respects_count_limit(self):
-        engine = MessageFaultEngine([MessageFault("drop", match_kind="PING", count=2)])
+        engine = MessageFaultEngine([Drop(match_kind="PING", count=2)])
         ping = Message(src="a", dst="b", kind="PING")
         assert engine.decide(ping, 0.0) is not None
         assert engine.decide(ping, 0.0) is not None
@@ -280,8 +292,8 @@ class TestFailurePlan:
     def test_fault_engine_first_match_wins(self):
         engine = MessageFaultEngine(
             [
-                MessageFault("drop", match_kind="PING"),
-                MessageFault("duplicate", match_kind="PING"),
+                Drop(match_kind="PING", count=None),
+                Duplicate(match_kind="PING", count=None),
             ]
         )
         decided = engine.decide(Message(src="a", dst="b", kind="PING"), 0.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import CrashFault, FailurePlan, MessageFault
+from repro.dsim.failure import Crash, Drop, FaultSchedule
 from repro.scroll.entry import ActionKind, ScrollEntry
 from repro.scroll.interceptor import InterceptionMode, RecordingPolicy, ReplayClock, ReplayRandomStream
 from repro.scroll.recorder import ScrollRecorder
@@ -183,9 +183,9 @@ class TestScrollRecorder:
     def test_crash_and_drop_recorded(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
         cluster.set_failure_plan(
-            FailurePlan(
-                crashes=[CrashFault("p1", at=3.0)],
-                message_faults=[MessageFault("drop", match_kind="PING", count=1, after=1.5)],
+            FaultSchedule.of(
+                Crash("p1", at=3.0),
+                Drop(match_kind="PING", count=1, after=1.5),
             )
         )
         recorder = ScrollRecorder()

@@ -8,7 +8,7 @@ import pytest
 from repro.api import apps as registry
 from repro.dsim.clock import VectorTimestamp
 from repro.dsim.cluster import Cluster, ClusterConfig
-from repro.dsim.failure import FailurePlan, MessageFault
+from repro.dsim.failure import Duplicate, FaultSchedule
 from repro.dsim.process import Process, ProcessCheckpoint, handler
 from repro.errors import CheckpointError, RecoveryLineError, SimulationError, SpeculationError
 from repro.scroll.recorder import ScrollRecorder
@@ -526,9 +526,7 @@ class TestSpeculations:
 
     def test_duplicate_of_a_speculative_message_is_tainted(self):
         cluster = make_cluster({"a": Counter, "b": Counter}, seed=1)
-        cluster.set_failure_plan(
-            FailurePlan(message_faults=[MessageFault("duplicate", match_kind="INC", count=1)])
-        )
+        cluster.set_failure_plan(FaultSchedule.of(Duplicate(match_kind="INC", count=1)))
         manager = SpeculationManager()
         cluster.add_hook(manager)
         cluster.start()
