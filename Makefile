@@ -1,15 +1,15 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: verify soak tier1 tier1-core matrix parity mp-teardown net-smoke bench-smoke suite-smoke resume-smoke fuzz-smoke bench test-all
+.PHONY: verify soak tier1 tier1-core matrix parity mp-teardown net-smoke bench-smoke suite-smoke resume-smoke fuzz-smoke examples-smoke bench test-all
 
 ## The one-command gate: core tests, the fault matrix, backend parity
 ## (mp transports + the socket backend), mp teardown/leak regression,
 ## net teardown/leak regression, benchmark smoke, a suite-file run
-## through the repro.api facade, the durable-store resume suite, and
-## the fuzzing smoke gate — each exactly once (tier1-core deselects
-## what the later steps own).
-verify: tier1-core matrix parity mp-teardown net-smoke bench-smoke suite-smoke resume-smoke fuzz-smoke
+## through the repro.api facade, the durable-store resume suite, the
+## fuzzing smoke gate and every example — each exactly once (tier1-core
+## deselects what the later steps own).
+verify: tier1-core matrix parity mp-teardown net-smoke bench-smoke suite-smoke resume-smoke fuzz-smoke examples-smoke
 
 ## The plain default suite (what CI and `pytest -x -q` run): includes the
 ## matrix and the in-process bench smoke test.
@@ -75,6 +75,16 @@ resume-smoke:
 ## and emit suite artefacts that replay immediately.
 fuzz-smoke:
 	python scripts/fuzz_smoke.py
+
+## Every example end to end (resume_after_crash.py is resume-smoke's);
+## a non-zero exit fails the gate.  modeld_mutex.py takes ~25 s, the
+## others ~1 s each.
+EXAMPLES := $(filter-out examples/resume_after_crash.py,$(sort $(wildcard examples/*.py)))
+examples-smoke:
+	@for example in $(EXAMPLES); do \
+		echo "example: $$example"; \
+		python $$example > /dev/null || exit 1; \
+	done
 
 ## Regenerate the committed benchmark baseline (full + quick profiles).
 bench:

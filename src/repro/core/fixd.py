@@ -43,6 +43,7 @@ from repro.healer.patch import Patch
 from repro.healer.strategies import RecoveryStrategy
 from repro.investigator.investigator import InvestigationReport, Investigator, InvestigatorConfig
 from repro.dsim.hooks import RuntimeHook
+from repro.dsim.message import IdCounter
 from repro.scroll.interceptor import RecordingPolicy
 from repro.scroll.recorder import ScrollRecorder
 from repro.timemachine.rollback import RollbackResult
@@ -308,7 +309,9 @@ class FixD:
                 protocol_run.model_factories,
                 checkpoint=protocol_run.global_checkpoint,
                 in_flight=protocol_run.in_flight,
-                take_msg_id=self._cluster.msg_ids.take,
+                # exploration sends in a sandbox: it draws the ids the run
+                # would draw next, but leaves the run's own counter alone
+                take_msg_id=IdCounter(self._cluster.msg_ids.peek()).take,
             )
             timeline.add(
                 self._cluster.now,

@@ -255,7 +255,6 @@ class SimBackend(Backend):
             record_clock_fn=lambda p, value: cluster.hooks.on_clock_read(
                 p, value, cluster._vt_of(p)
             ),
-            log_fn=lambda p, text: cluster._record_trace(p, "log", text),
             scroll_position_fn=cluster.scroll_position,
             take_msg_id=cluster.msg_ids.take,
         )
@@ -266,24 +265,20 @@ class SimBackend(Backend):
         now = self._scheduler.now
         sender_vt = cluster._vt_of(message.src)
         cluster.hooks.on_send(message.src, message, now, sender_vt)
-        cluster._record_trace(message.src, "send", message.describe())
 
         fault = self._fault_engine.decide(message, now) if self._fault_engine else None
         if fault is not None and fault.kind == "drop":
             cluster.hooks.on_drop(message, now, sender_vt)
-            cluster._record_trace(message.src, "fault-drop", message.describe())
             return
 
         plans = self.network.route(message, now)
         for outcome, deliver_at, planned in plans:
             if outcome is DeliveryOutcome.DROP or deliver_at is None:
                 cluster.hooks.on_drop(planned, now, sender_vt)
-                cluster._record_trace(planned.src, "drop", planned.describe())
                 continue
             if outcome is DeliveryOutcome.DUPLICATE:
                 planned = planned.as_duplicate(cluster.msg_ids.take())
                 cluster.hooks.on_duplicate(planned, now, sender_vt)
-                cluster._record_trace(planned.src, "duplicate", planned.describe())
             if fault is not None and fault.kind == "delay":
                 deliver_at += fault.extra_delay
             if fault is not None and fault.kind == "duplicate":
@@ -404,7 +399,7 @@ class SimBackend(Backend):
             violations=list(cluster._violations),
             network_stats=self.network.stats,
             process_states={pid: dict(p.state) for pid, p in cluster.processes().items()},
-            trace=list(cluster._trace),
+            errors={},
         )
 
     # -- event execution ---------------------------------------------------
@@ -431,11 +426,9 @@ class SimBackend(Backend):
         message: Message = event.payload
         process = cluster.process(event.target)
         if process.crashed:
-            cluster._record_trace(event.target, "dead-letter", message.describe())
             return
         now = self._scheduler.now
         cluster.hooks.before_receive(event.target, message, now)
-        cluster._record_trace(event.target, "receive", message.describe())
         process.deliver(message)
         cluster.hooks.on_receive(event.target, message, now, process.vector_timestamp)
         cluster._after_handler(event.target, f"deliver {message.kind}")
@@ -449,7 +442,6 @@ class SimBackend(Backend):
         cluster.hooks.on_timer(
             event.target, name, self._scheduler.now, process.vector_timestamp, payload
         )
-        cluster._record_trace(event.target, "timer", name)
         process.fire_timer(name, payload)
         cluster._after_handler(event.target, f"timer {name}")
 
@@ -467,7 +459,6 @@ class SimBackend(Backend):
             key: events for key, events in self._timer_events.items() if key[0] != event.target
         }
         cluster.hooks.on_crash(event.target, self._scheduler.now, process.vector_timestamp)
-        cluster._record_trace(event.target, "crash", "process crashed")
 
     def _execute_recover(self, event: Event) -> None:
         cluster = self.cluster
@@ -476,7 +467,6 @@ class SimBackend(Backend):
             return
         process.mark_recovered()
         cluster.hooks.on_recover(event.target, self._scheduler.now, process.vector_timestamp)
-        cluster._record_trace(event.target, "recover", "process recovered")
         cluster._after_handler(event.target, "on_recover")
 
     def _execute_corruption(self, event: Event) -> None:
@@ -489,7 +479,6 @@ class SimBackend(Backend):
         cluster.hooks.on_corruption(
             event.target, fault.description, self._scheduler.now, process.vector_timestamp
         )
-        cluster._record_trace(event.target, "corrupt", fault.description)
         cluster._after_handler(event.target, "corruption")
 
 

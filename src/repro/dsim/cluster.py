@@ -4,8 +4,8 @@
 runtime use to execute a distributed computation.  Since the Backend
 refactor it is a thin *frontend*: it owns what is substrate-independent —
 the process table, the hook chain through which the Scroll, the Time
-Machine and the fault detector observe the run, the fault schedule, the
-violation policy and the run trace — and delegates execution to a
+Machine and the fault detector observe the run, the fault schedule and
+the violation policy — and delegates execution to a
 :class:`~repro.dsim.backend.Backend`:
 
 * :class:`~repro.dsim.backend.SimBackend` (the default) executes the
@@ -88,18 +88,15 @@ class ViolationRecord:
 
 
 @dataclass
-class TraceRecord:
-    """One line of the cluster's built-in execution trace."""
-
-    time: float
-    pid: str
-    action: str
-    detail: str
-
-
-@dataclass
 class RunResult:
-    """Summary of a completed (or halted) run — identical on every backend."""
+    """Summary of a completed (or halted) run — identical on every backend.
+
+    What happened inside the run is the Scroll's to record (through the
+    hook chain); this is only its outcome.  ``errors`` maps a worker pid
+    to why it halted a real-process run: the exception its process
+    raised, or a lost or stalled link.  It is empty on the simulator,
+    where a process's exception propagates out of ``run()``.
+    """
 
     events_executed: int
     final_time: float
@@ -107,7 +104,7 @@ class RunResult:
     violations: List[ViolationRecord]
     network_stats: Dict[str, int]
     process_states: Dict[str, Dict[str, Any]]
-    trace: List[TraceRecord]
+    errors: Dict[str, str]
 
     @property
     def ok(self) -> bool:
@@ -135,7 +132,6 @@ class Cluster:
         self._factories: Dict[str, ProcessFactory] = {}
         self._failure_plan = FaultSchedule()
         self._violations: List[ViolationRecord] = []
-        self._trace: List[TraceRecord] = []
         self._halted = False
         self._halt_reason = ""
         self._started = False
@@ -292,10 +288,6 @@ class Cluster:
     def violations(self) -> List[ViolationRecord]:
         return list(self._violations)
 
-    @property
-    def trace(self) -> List[TraceRecord]:
-        return list(self._trace)
-
     # ------------------------------------------------------------------
     # shared plumbing used by backends
     # ------------------------------------------------------------------
@@ -303,9 +295,6 @@ class Cluster:
         """Vector timestamp carried in hook payloads (None for unknown pids)."""
         process = self._processes.get(pid)
         return process.vector_timestamp if process is not None else None
-
-    def _record_trace(self, pid: str, action: str, detail: str) -> None:
-        self._trace.append(TraceRecord(self.backend.now, pid, action, detail))
 
     def _handle_violation(
         self,
@@ -325,7 +314,6 @@ class Cluster:
         """
         handled = bool(self.hooks.on_invariant_violation(pid, name, detail, time, vt))
         self._violations.append(ViolationRecord(pid, name, detail, time, handled))
-        self._record_trace(pid, "violation", f"{name}: {detail}")
         if handled:
             return True
         if self.config.raise_on_violation:
@@ -405,7 +393,6 @@ class Cluster:
             process.restore_checkpoint(checkpoint)
             if clear_in_flight:
                 self.backend.clear_in_flight(pid)
-            self._record_trace(pid, "rollback", f"restored checkpoint #{checkpoint.sequence}")
 
     def restart_process(self, pid: str) -> Process:
         """Replace a process with a brand new instance (restart-from-scratch).
@@ -423,5 +410,4 @@ class Cluster:
         fresh.bind(self.backend.make_context(pid))
         self.backend.clear_in_flight(pid)
         fresh.on_start()
-        self._record_trace(pid, "restart", "restarted from initial state")
         return fresh

@@ -97,7 +97,7 @@ class Message:
         return replace(self, msg_id=msg_id, duplicate_of=self.msg_id)
 
     def describe(self) -> str:
-        """Short human-readable description used by traces and bug reports."""
+        """Short human-readable description (e.g. in a replay divergence)."""
         return f"#{self.msg_id} {self.src}->{self.dst} {self.kind}"
 
     def to_record(self) -> Dict[str, Any]:

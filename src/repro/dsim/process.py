@@ -92,10 +92,10 @@ def invariant(name: str) -> Callable:
 class ProcessContext:
     """Everything a process needs from its environment.
 
-    The cluster builds one context per process; the ``multiprocessing``
-    backend and the Investigator build their own variants.  All fields
-    are callables or simple objects so alternative environments can
-    substitute them freely.
+    The simulator builds one context per process; a router's workers,
+    the Replayer, the Investigator and the Healer build their own
+    variants.  All fields are callables or simple objects so alternative
+    environments can substitute them freely.
     """
 
     pid: str
@@ -107,7 +107,6 @@ class ProcessContext:
     rng: DeterministicRNG
     record_random_fn: Optional[Callable[[str, str, Any], None]] = None
     record_clock_fn: Optional[Callable[[str, float], None]] = None
-    log_fn: Optional[Callable[[str, str], None]] = None
     #: the application-visible clock used by :meth:`Process.now`; defaults
     #: to ``now_fn``.  Replay substitutes the recorded-outcome stream here
     #: while ``now_fn`` stays ambient (message timestamps and other
@@ -378,11 +377,6 @@ class Process:
         value = self.ctx.rng.choice(items)
         self._record_random("choice", value)
         return value
-
-    def log(self, text: str) -> None:
-        """Emit an application-level log line into the run trace."""
-        if self.ctx.log_fn is not None:
-            self.ctx.log_fn(self.pid, text)
 
     def _record_random(self, method: str, value: Any) -> None:
         if self.ctx.record_random_fn is not None:

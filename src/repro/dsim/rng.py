@@ -6,7 +6,7 @@ need to be recorded").  To make recording and replay practical the
 simulator gives every process its own deterministic stream derived from
 the run seed and the process id, so that
 
-* two runs with the same seed and fault plan produce identical traces,
+* two runs with the same seed and fault plan produce identical Scrolls,
   and
 * the Scroll can replace a stream with a *replayed* stream that returns
   the recorded outcomes instead of fresh draws.

@@ -424,6 +424,8 @@ class Router:
         self.fault_engine = None
         #: pid → the worker's final result dict
         self.results: Dict[str, Dict[str, Any]] = {}
+        #: pid → why that worker halted the run (its exception, or a lost/stalled link)
+        self.errors: Dict[str, str] = {}
         self.transport_stats: Dict[str, int] = {}
 
         self.pids: Tuple[str, ...] = ()
@@ -531,7 +533,6 @@ class Router:
             # in-flight deliveries to a crashed worker dead-letter inside
             # the worker; new ones stop here
             self.dead_letters += 1
-            self.cluster._record_trace(dst, "dead-letter", message.describe())
             return
         self.tseq = tseq = self.tseq + 1
         self.in_flight[tseq] = (dst, message)
@@ -544,12 +545,10 @@ class Router:
         self.routed += 1
         sent_at = message.send_time
         hooks.on_send(message.src, message, sent_at, message.vt)
-        cluster._record_trace(message.src, "send", message.describe())
         fault = self.fault_engine.decide(message, sent_at)
         if fault is not None and fault.kind == "drop":
             self.dropped += 1
             hooks.on_drop(message, sent_at, message.vt)
-            cluster._record_trace(message.src, "fault-drop", message.describe())
             return
         if any(
             p.active_at(sent_at) and p.separates(message.src, message.dst)
@@ -557,13 +556,11 @@ class Router:
         ):
             self.dropped += 1
             hooks.on_drop(message, sent_at, message.vt)
-            cluster._record_trace(message.src, "drop", message.describe())
             return
         if fault is not None and fault.kind == "duplicate":
             self.duplicated += 1
             copy = message.as_duplicate(cluster.msg_ids.take())
             hooks.on_duplicate(copy, sent_at, message.vt)
-            cluster._record_trace(copy.src, "duplicate", copy.describe())
             self.enqueue(copy.dst, copy)
         if fault is not None and fault.kind == "delay":
             heapq.heappush(
@@ -587,7 +584,6 @@ class Router:
         self._update_now()
         cluster = self.cluster
         hooks = cluster.hooks
-        record = cluster._record_trace
         in_flight = self.in_flight
         route = self.route
         for entry in log:
@@ -605,14 +601,11 @@ class Router:
             elif tag == "recv":
                 _, tseq, at, vt = entry
                 dst, message = in_flight.pop(tseq)
-                record(dst, "receive", message.describe())
                 hooks.on_receive(dst, message, at, vt)
             elif tag == "dead":
-                dst, message = in_flight.pop(entry[1])
-                record(dst, "dead-letter", message.describe())
+                del in_flight[entry[1]]
             elif tag == "timer":
                 _, name, at, vt = entry
-                record(pid, "timer", name)
                 hooks.on_timer(pid, name, at, vt)
             elif tag == "violation":
                 _, name, detail, at, vt = entry
@@ -620,13 +613,10 @@ class Router:
             elif tag == "event":
                 _, kind, detail, at, vt = entry
                 if kind == "crash":
-                    record(pid, "crash", "process crashed")
                     hooks.on_crash(pid, at, vt)
                 elif kind == "recover":
-                    record(pid, "recover", "process recovered")
                     hooks.on_recover(pid, at, vt)
                 elif kind == "corrupt":
-                    record(pid, "corrupt", detail)
                     hooks.on_corruption(pid, detail, at, vt)
                 self.probe_round_dirty = True
             elif tag == "counters":
@@ -645,20 +635,18 @@ class Router:
         elif tag == "result":
             self.results[item[1]] = item[2]
             if item[2].get("error"):
-                self.cluster._record_trace(item[1], "error", item[2]["error"])
+                self.errors.setdefault(item[1], item[2]["error"])
                 self.cluster.halt(f"worker-error:{item[1]}")
         elif tag == "__lost__":
             # a peer that died without delivering its result halts the
             # run; once the stop went out, closing is what peers do
             self.live.discard(pid)
             if not self.collecting and pid not in self.results:
-                self.cluster._record_trace(pid, "error", "worker link closed unexpectedly")
+                self.errors.setdefault(pid, "worker link closed unexpectedly")
                 self.cluster.halt(f"worker-lost:{pid}")
         elif tag == "__stalled__":
             if not self.collecting:
-                self.cluster._record_trace(
-                    pid, "error", "worker stopped draining its link (stalled)"
-                )
+                self.errors.setdefault(pid, "worker stopped draining its link (stalled)")
                 self.cluster.halt(f"worker-stalled:{pid}")
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unexpected uplink item {tag!r} from {pid!r}")
@@ -860,5 +848,5 @@ class Router:
             process_states={
                 pid: dict(result.get("state", {})) for pid, result in results.items()
             },
-            trace=list(cluster._trace),
+            errors=dict(self.errors),
         )

@@ -76,10 +76,6 @@ class Event:
     #: scheduler so cancellation bookkeeping never double-counts an event.
     in_queue: bool = field(compare=False, default=False, repr=False)
 
-    def describe(self) -> str:
-        """One-line description used in traces."""
-        return f"t={self.time:.3f} {self.kind.value} -> {self.target}"
-
 
 class Scheduler:
     """A priority-queue scheduler with stable tie-breaking and lazy cancellation."""

@@ -98,7 +98,6 @@ class DynamicUpdater:
             new_class=patch.new_class.__name__,
         )
         self.history.append(record)
-        self._cluster._record_trace(pid, "dsu", f"updated to {patch.new_class.__name__}")
         return record
 
     def apply(self, patch: Patch, force: bool = False) -> List[UpdateRecord]:

@@ -13,6 +13,7 @@ from repro.core.fixd import FixD, FixDConfig
 from repro.dsim.cluster import Cluster, ClusterConfig
 from repro.dsim.backend import MPBackend, MPBackendOptions
 from repro.dsim.failure import Corrupt, Crash, Drop, FaultSchedule
+from repro.dsim.hooks import RuntimeHook
 from repro.dsim.process import Process, handler
 from repro.healer.healer import Healer
 from repro.healer.patch import generate_patch
@@ -122,6 +123,26 @@ class _StopExploder(PingPong):
         raise ValueError("boom in on_stop")
 
 
+class _CountingHook(RuntimeHook):
+    """Counts the sends, receives, handler completions and corruptions a run reports."""
+
+    def __init__(self) -> None:
+        self.counts = {"sent": 0, "received": 0, "handlers": 0}
+        self.corruptions = []
+
+    def on_send(self, pid, message, time, vt=None):
+        self.counts["sent"] += 1
+
+    def on_receive(self, pid, message, time, vt=None):
+        self.counts["received"] += 1
+
+    def after_handler(self, pid, description, time):
+        self.counts["handlers"] += 1
+
+    def on_corruption(self, pid, description, time, vt=None):
+        self.corruptions.append((pid, description))
+
+
 @pytest.mark.slow
 class TestMultiprocessingBackend:
     """The same process classes running on real OS processes via the unified API."""
@@ -175,13 +196,11 @@ class TestMultiprocessingBackend:
 
     def test_hook_surface_on_real_processes(self):
         """Generic runtime hooks observe the run on the mp substrate too."""
-        from repro.dsim.runtime import StatsHook
-
         cluster = self._mp_cluster()
-        stats = StatsHook()
-        cluster.add_hook(stats)
-        result = cluster.run(until=60)
-        totals = stats.totals()
+        hook = _CountingHook()
+        cluster.add_hook(hook)
+        cluster.run(until=60)
+        totals = hook.counts
         assert totals["sent"] == 9 and totals["received"] == 9
         assert totals["handlers"] >= 9  # after_handler fires per delivery + on_start
         # msg_ids are cluster-unique across workers (per-worker id ranges)
@@ -211,8 +230,10 @@ class TestMultiprocessingBackend:
                 Corrupt("p1", at=20.0, ops=(("add", ("count",), 100),), description="count overflow")
             )
         )
+        hook = _CountingHook()
+        cluster.add_hook(hook)
         result = cluster.run(until=200)
-        assert any(t.action == "corrupt" for t in result.trace), "corruption never fired"
+        assert hook.corruptions == [("p1", "count overflow")], "corruption never fired"
         assert result.violations, "corrupted invariant was not detected"
 
     def test_frontend_process_state_access_fails_loudly(self):
@@ -234,7 +255,8 @@ class TestMultiprocessingBackend:
         assert result.stopped_reason.startswith("worker-error:")
         # final states survive the on_stop failure instead of vanishing
         assert set(result.process_states) == {"s0", "s1"}
-        assert any("on_stop" in t.detail for t in result.trace if t.action == "error")
+        assert set(result.errors) == {"s0", "s1"}
+        assert all(text.startswith("on_stop: ") for text in result.errors.values())
 
     def test_fault_plan_unknown_pid_rejected_before_spawn(self):
         from repro.errors import UnknownProcessError

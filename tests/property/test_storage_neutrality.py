@@ -83,6 +83,19 @@ def test_investigate_is_behaviour_neutral(tmp_path, app, seed):
     assert artefacts(investigated, tmp_path / "arm.jsonl")[0] == default
 
 
+def test_investigation_draws_no_live_message_ids():
+    """Exploration sends from a sandbox counter: the run's next id is the same without it."""
+    scenario = generate_scenario("bank", 3)
+    next_id = {}
+    for investigate in (False, True):
+        run = execute(dataclasses.replace(scenario, investigate=investigate))
+        run.fixd.scroll.close()
+        reports = run.fixd.reports
+        assert reports and (reports[0].bug_report.investigation is not None) == investigate
+        next_id[investigate] = run.cluster.msg_ids.peek()
+    assert next_id[True] == next_id[False]
+
+
 @pytest.mark.durable
 @settings(max_examples=30, **_SETTINGS)
 @given(

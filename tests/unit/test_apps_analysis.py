@@ -1,11 +1,7 @@
-"""Unit tests for the example applications, the analysis helpers and the runtime hooks."""
+"""Unit tests for the example applications (each app's protocol and invariants)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.stats import compare_runs, overhead_ratio, summarize_scroll
-from repro.analysis.trace import build_causal_trace, message_flows
 from repro.apps.bank import (
     BankBranch,
     BankBranchFixed,
@@ -48,10 +44,7 @@ from repro.apps.wordcount import (
 )
 from repro.dsim.cluster import Cluster, ClusterConfig
 from repro.dsim.failure import Crash, Drop, FaultSchedule
-from repro.dsim.runtime import LatencyProbeHook, PeriodicActionHook, StatsHook, TraceHook
 from repro.scroll.recorder import ScrollRecorder
-
-from tests.conftest import PingPong, make_cluster
 
 
 def run_app(builder, seed=11, max_events=3000, halt=False, **kwargs):
@@ -247,84 +240,3 @@ class TestWordCount:
         result = cluster.run(max_events=3000)
         assert cluster.process("master").state["aggregated"] < 10
 
-
-# ----------------------------------------------------------------------
-# Runtime hooks
-# ----------------------------------------------------------------------
-class TestRuntimeHooks:
-    def test_trace_hook_collects_and_groups(self):
-        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        trace = TraceHook()
-        cluster.add_hook(trace)
-        cluster.run()
-        assert trace.records
-        assert set(trace.by_process()) == {"p0", "p1"}
-        assert trace.by_category("send")
-
-    def test_stats_hook_totals(self):
-        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        stats = StatsHook()
-        cluster.add_hook(stats)
-        cluster.run()
-        totals = stats.totals()
-        assert totals["sent"] == totals["received"]
-        assert totals["handlers"] > 0
-
-    def test_periodic_action_hook_counts_handlers(self):
-        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        fired = []
-        cluster.add_hook(PeriodicActionHook(2, lambda pid, time: fired.append(pid)))
-        cluster.run()
-        assert fired
-        with pytest.raises(ValueError):
-            PeriodicActionHook(0, lambda pid, time: None)
-
-    def test_latency_probe_measures_channel_delay(self):
-        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
-        probe = LatencyProbeHook()
-        cluster.add_hook(probe)
-        cluster.run()
-        assert probe.mean_latency() == pytest.approx(1.0)  # default base_delay
-
-
-# ----------------------------------------------------------------------
-# Analysis helpers
-# ----------------------------------------------------------------------
-class TestAnalysis:
-    def test_summarize_scroll_counts(self):
-        _, _, scroll = run_app(build_kvstore_cluster)
-        stats = summarize_scroll(scroll)
-        assert stats.messages_sent == stats.messages_received  # reliable default network
-        assert stats.delivery_ratio == pytest.approx(1.0)
-        assert stats.nondeterministic_entries <= stats.total_entries
-        assert "messages" in stats.describe()
-
-    def test_message_flows_match_sends(self):
-        _, _, scroll = run_app(build_kvstore_cluster)
-        flows = message_flows(scroll)
-        assert len(flows) == summarize_scroll(scroll).messages_sent
-        assert all(flow.delivered and flow.latency >= 0 for flow in flows)
-
-    def test_causal_trace_respects_send_before_receive(self):
-        _, _, scroll = run_app(build_kvstore_cluster)
-        trace = build_causal_trace(scroll)
-        assert len(trace) == len(scroll)
-        assert trace.respects_send_before_receive()
-        assert trace.actions_of("client0")
-
-    def test_compare_runs_identical_for_same_seed(self):
-        _, first, _ = run_app(build_kvstore_cluster, seed=3)
-        _, second, _ = run_app(build_kvstore_cluster, seed=3)
-        comparison = compare_runs(first, second)
-        assert comparison.identical_states
-        assert comparison.events_delta == 0
-
-    def test_compare_runs_detects_differences(self):
-        _, buggy, _ = run_app(build_bank_cluster, seed=3)
-        _, fixed, _ = run_app(build_bank_cluster, seed=3, fixed=True)
-        comparison = compare_runs(buggy, fixed)
-        assert not comparison.identical_states
-
-    def test_overhead_ratio(self):
-        assert overhead_ratio(1.0, 1.5) == pytest.approx(0.5)
-        assert overhead_ratio(0.0, 1.0) is None

@@ -10,6 +10,8 @@ from repro.dsim.network import NetworkConfig
 from repro.dsim.channel import ChannelConfig
 from repro.dsim.process import Process, handler, invariant, timer_handler
 from repro.errors import InvariantViolation, SimulationError, UnknownProcessError
+from repro.scroll.entry import ActionKind
+from repro.scroll.recorder import ScrollRecorder
 
 from tests.conftest import BoundedCounterBuggy, PingPong, RandomWorker, make_cluster
 
@@ -208,10 +210,12 @@ class TestClusterRunLoop:
         result = cluster.run(max_events=60)
         assert result.violations == []
 
-    def test_trace_records_sends_and_receives(self, ping_cluster):
+    def test_scroll_records_sends_and_receives(self, ping_cluster):
+        recorder = ScrollRecorder()
+        ping_cluster.add_hook(recorder)
         ping_cluster.run()
-        actions = {record.action for record in ping_cluster.trace}
-        assert {"send", "receive"} <= actions
+        kinds = {entry.kind for entry in recorder.scroll}
+        assert {ActionKind.SEND, ActionKind.RECEIVE} <= kinds
 
     def test_timer_cancellation(self):
         class Canceller(Process):
@@ -249,12 +253,14 @@ class TestClusterFaultInjection:
         result = cluster.run()
         assert result.process_states["p1"]["count"] < 5
 
-    def test_crash_and_recover_emits_trace(self):
+    def test_crash_and_recover_are_recorded(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
+        recorder = ScrollRecorder()
+        cluster.add_hook(recorder)
         cluster.set_failure_plan(FaultSchedule.of(Crash("p1", at=2.0, recover_at=6.0)))
         cluster.run()
-        actions = [record.action for record in cluster.trace if record.pid == "p1"]
-        assert "crash" in actions and "recover" in actions
+        kinds = [entry.kind for entry in recorder.scroll.entries_for("p1")]
+        assert ActionKind.CRASH in kinds and ActionKind.RECOVER in kinds
 
     def test_message_drop_fault(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)

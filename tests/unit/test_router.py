@@ -183,6 +183,12 @@ class _Recorder(RuntimeHook):
     def on_duplicate(self, message, time, vt=None):
         self.calls.append(("dup", message.kind))
 
+    def on_crash(self, pid, time, vt=None):
+        self.calls.append(("crash", pid))
+
+    def on_recover(self, pid, time, vt=None):
+        self.calls.append(("recover", pid))
+
 
 def make(pids=("a", "b"), plan=None, hook=None, open_error=None, **option_overrides):
     cluster = Cluster(ClusterConfig(seed=1), backend="mp")
@@ -275,7 +281,8 @@ def test_faults_on_unknown_pids_are_rejected(spec):
 
 def test_crash_dead_letters_until_recover():
     plan = FaultSchedule.of(Crash("b", at=20.0, recover_at=120.0))
-    router, links, cluster = make(plan=plan)
+    hook = _Recorder()
+    router, links, _ = make(plan=plan, hook=hook)
     links.sends(0.000, "a", "b", "BEFORE")
     links.sends(0.060, "a", "b", "DURING")
     links.sends(0.170, "a", "b", "AFTER")
@@ -285,8 +292,10 @@ def test_crash_dead_letters_until_recover():
     assert delivered == ["BEFORE", "AFTER"]
     assert router.transport_stats["dead_letters"] == 1
     assert [c for c in links.control_to("b") if c in ("crash", "recover")] == ["crash", "recover"]
-    actions = [record.action for record in cluster.trace]
-    assert actions.count("dead-letter") == 1 and "crash" in actions and "recover" in actions
+    assert [c for c in hook.calls if c[0] in ("crash", "recover")] == [
+        ("crash", "b"), ("recover", "b"),
+    ]
+    assert result.errors == {}
 
 
 def test_delay_fault_releases_at_its_wall_deadline_and_blocks_quiescence():
@@ -359,12 +368,20 @@ def test_unbatched_delivery_is_a_piece_size_of_one():
 # ----------------------------------------------------------------------
 # halt reasons
 # ----------------------------------------------------------------------
+def test_error_result_halts_the_run():
+    router, links, _ = make()
+    links.at(0.0, "b", ("result", "b", {"error": "KeyError: 'x'"}))
+    result = router.run(until=10_000)
+    assert result.stopped_reason == "worker-error:b"
+    assert result.errors == {"b": "KeyError: 'x'"}
+
+
 def test_lost_peer_before_its_result_halts_the_run():
-    router, links, cluster = make()
+    router, links, _ = make()
     links.at(0.0, "b", ("__lost__",))
     result = router.run(until=10_000)
     assert result.stopped_reason == "worker-lost:b"
-    assert any(r.action == "error" and r.pid == "b" for r in cluster.trace)
+    assert result.errors == {"b": "worker link closed unexpectedly"}
     assert links.closed == 1
 
 
@@ -376,13 +393,16 @@ def test_lost_peer_is_tolerated_while_collecting():
     result = router.run(until=10_000)
     assert result.stopped_reason == "quiescent"
     assert set(result.process_states) == {"a"}
+    assert result.errors == {}
     assert time.monotonic() - started < 1.0, "lost peers must not cost the collect deadline"
 
 
 def test_stalled_peer_halts_the_run():
     router, links, _ = make()
     links.at(0.0, "a", ("__stalled__",))
-    assert router.run(until=10_000).stopped_reason == "worker-stalled:a"
+    result = router.run(until=10_000)
+    assert result.stopped_reason == "worker-stalled:a"
+    assert result.errors == {"a": "worker stopped draining its link (stalled)"}
 
 
 def test_result_error_found_while_collecting_overrides_quiescent():
@@ -390,6 +410,7 @@ def test_result_error_found_while_collecting_overrides_quiescent():
     links.workers["b"].result_error = "on_stop: ValueError: boom"
     result = router.run(until=10_000)
     assert result.stopped_reason == "worker-error:b"
+    assert result.errors == {"b": "on_stop: ValueError: boom"}
 
 
 # ----------------------------------------------------------------------

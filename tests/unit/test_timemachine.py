@@ -344,7 +344,7 @@ class TestCheckpointPolicies:
         policy = CommunicationInducedCheckpointing()
         cluster.add_hook(policy)
         result = cluster.run()
-        receives = sum(1 for record in cluster.trace if record.action == "receive")
+        receives = result.network_stats["delivered"]
         # one checkpoint per process at start + one per receive
         assert policy.total_checkpoints() == receives + len(cluster.pids)
 
