@@ -83,9 +83,10 @@ def test_investigate_is_behaviour_neutral(tmp_path, app, seed):
     assert artefacts(investigated, tmp_path / "arm.jsonl")[0] == default
 
 
-def test_investigation_draws_no_live_message_ids():
+@pytest.mark.parametrize("app, seed", [("bank", 3), ("leader_election", 9), ("kvstore", 2)])
+def test_investigation_draws_no_live_message_ids(app, seed):
     """Exploration sends from a sandbox counter: the run's next id is the same without it."""
-    scenario = generate_scenario("bank", 3)
+    scenario = generate_scenario(app, seed)
     next_id = {}
     for investigate in (False, True):
         run = execute(dataclasses.replace(scenario, investigate=investigate))

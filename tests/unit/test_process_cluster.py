@@ -262,6 +262,21 @@ class TestClusterFaultInjection:
         kinds = [entry.kind for entry in recorder.scroll.entries_for("p1")]
         assert ActionKind.CRASH in kinds and ActionKind.RECOVER in kinds
 
+    def test_simulator_run_reports_no_worker_errors(self):
+        cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
+        cluster.set_failure_plan(FaultSchedule.of(Crash("p1", at=2.0, recover_at=6.0)))
+        assert cluster.run().errors == {}
+
+    def test_handler_exception_propagates_out_of_run(self):
+        class Exploder(PingPong):
+            @handler("PING")
+            def on_ping(self, msg):
+                raise ValueError("boom")
+
+        cluster = make_cluster({"p0": Exploder, "p1": Exploder}, seed=1)
+        with pytest.raises(ValueError, match="boom"):
+            cluster.run()
+
     def test_message_drop_fault(self):
         cluster = make_cluster({"p0": PingPong, "p1": PingPong}, seed=1)
         cluster.set_failure_plan(FaultSchedule.of(Drop(match_kind="PING", count=1)))

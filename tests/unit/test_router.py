@@ -298,6 +298,19 @@ def test_crash_dead_letters_until_recover():
     assert result.errors == {}
 
 
+def test_worker_side_dead_letter_settles_without_a_receive():
+    """A batch that reaches a worker already down comes back as ``dead``, not ``recv``."""
+    hook = _Recorder()
+    router, links, _ = make(hook=hook)
+    links.workers["b"].crashed = True      # down before the router learns of it
+    links.sends(0.0, "a", "b", "LOST")
+    result = router.run(until=10_000)
+    assert result.stopped_reason == "quiescent"
+    assert [[m.kind for _, m in batch] for batch in links.batches_to("b")] == [["LOST"]]
+    assert not [c for c in hook.calls if c[0] == "recv"]
+    assert router.in_flight == {}
+
+
 def test_delay_fault_releases_at_its_wall_deadline_and_blocks_quiescence():
     plan = FaultSchedule.of(Delay(match_kind="SLOW", extra_delay=50.0, count=None))
     router, links, _ = make(plan=plan)
@@ -403,6 +416,20 @@ def test_stalled_peer_halts_the_run():
     result = router.run(until=10_000)
     assert result.stopped_reason == "worker-stalled:a"
     assert result.errors == {"a": "worker stopped draining its link (stalled)"}
+
+
+def test_every_halting_worker_keeps_its_own_first_reason():
+    router, links, _ = make(pids=("a", "b", "c"))
+    links.at(0.0, "a", ("__lost__",))
+    links.at(0.0, "b", ("__stalled__",))
+    links.at(0.0, "c", ("__stalled__",))
+    links.at(0.0, "c", ("__lost__",))
+    result = router.run(until=10_000)
+    assert result.errors == {
+        "a": "worker link closed unexpectedly",
+        "b": "worker stopped draining its link (stalled)",
+        "c": "worker stopped draining its link (stalled)",
+    }
 
 
 def test_result_error_found_while_collecting_overrides_quiescent():
